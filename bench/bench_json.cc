@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <utility>
 
 namespace diffusion {
 namespace bench {
@@ -30,13 +31,6 @@ std::string EscapeJson(const std::string& in) {
     }
   }
   return out;
-}
-
-std::string FormatValue(double value) {
-  // Round-trippable without scientific noise for the magnitudes benches emit.
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", value);
-  return buf;
 }
 
 // ---- validation helpers (string-level, no JSON library in the image) ----
@@ -100,6 +94,13 @@ bool Fail(std::string* error, const std::string& message) {
 
 }  // namespace
 
+std::string FormatBenchValue(double value) {
+  // Round-trippable without scientific noise for the magnitudes benches emit.
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.6g", value);
+  return buf;
+}
+
 std::string BenchJson(const std::string& bench_name, const std::vector<BenchResult>& results) {
   std::ostringstream out;
   out << "{\n";
@@ -108,7 +109,7 @@ std::string BenchJson(const std::string& bench_name, const std::vector<BenchResu
   out << "  \"results\": [\n";
   for (size_t i = 0; i < results.size(); ++i) {
     out << "    {\"name\": \"" << EscapeJson(results[i].name) << "\", \"unit\": \""
-        << EscapeJson(results[i].unit) << "\", \"value\": " << FormatValue(results[i].value)
+        << EscapeJson(results[i].unit) << "\", \"value\": " << FormatBenchValue(results[i].value)
         << "}" << (i + 1 < results.size() ? "," : "") << "\n";
   }
   out << "  ]\n";
@@ -127,7 +128,8 @@ bool WriteBenchJson(const std::string& path, const std::string& bench_name,
   return static_cast<bool>(file);
 }
 
-bool ValidateBenchJson(const std::string& path, std::string* error) {
+bool ValidateBenchJson(const std::string& path, std::string* error,
+                       std::vector<BenchResult>* results) {
   std::ifstream file(path);
   if (!file) {
     return Fail(error, path + ": cannot open");
@@ -159,7 +161,7 @@ bool ValidateBenchJson(const std::string& path, std::string* error) {
     return Fail(error, path + ": missing \"results\" array");
   }
   size_t entry = text.find('{', results_pos);
-  size_t count = 0;
+  std::vector<BenchResult> parsed;
   const size_t results_end = text.find(']', results_pos);
   if (results_end == std::string::npos) {
     return Fail(error, path + ": unterminated \"results\" array");
@@ -172,7 +174,7 @@ bool ValidateBenchJson(const std::string& path, std::string* error) {
     const size_t unit_pos = FindKey(text, "unit", entry);
     const size_t value_pos = FindKey(text, "value", entry);
     if (name_pos == std::string::npos || !ReadString(text, name_pos, &name) || name.empty()) {
-      return Fail(error, path + ": result #" + std::to_string(count) + " missing \"name\"");
+      return Fail(error, path + ": result #" + std::to_string(parsed.size()) + " missing \"name\"");
     }
     if (unit_pos == std::string::npos || !ReadString(text, unit_pos, &unit) || unit.empty()) {
       return Fail(error, path + ": result \"" + name + "\" missing \"unit\"");
@@ -180,13 +182,26 @@ bool ValidateBenchJson(const std::string& path, std::string* error) {
     if (value_pos == std::string::npos || !ReadNumber(text, value_pos, &value)) {
       return Fail(error, path + ": result \"" + name + "\" missing finite \"value\"");
     }
-    ++count;
+    parsed.push_back(BenchResult{name, unit, value});
     entry = text.find('{', text.find('}', entry));
   }
-  if (count == 0) {
+  if (parsed.empty()) {
     return Fail(error, path + ": \"results\" array is empty");
   }
+  if (results != nullptr) {
+    *results = std::move(parsed);
+  }
   return true;
+}
+
+const BenchResult* FindBenchResult(const std::vector<BenchResult>& results,
+                                   const std::string& name) {
+  for (const BenchResult& result : results) {
+    if (result.name == name) {
+      return &result;
+    }
+  }
+  return nullptr;
 }
 
 }  // namespace bench

@@ -33,6 +33,10 @@ struct BenchResult {
   double value = 0.0;
 };
 
+// A result value exactly as the JSON document records it (six significant
+// digits). Two values match a recorded file iff their renderings are equal.
+std::string FormatBenchValue(double value);
+
 // Renders the schema'd JSON document (two-space indent, trailing newline).
 std::string BenchJson(const std::string& bench_name, const std::vector<BenchResult>& results);
 
@@ -44,7 +48,14 @@ bool WriteBenchJson(const std::string& path, const std::string& bench_name,
 // kBenchJsonSchema, a non-empty "bench" name is present, and every entry in
 // "results" has a name, a unit, and a finite numeric value. On failure
 // returns false and, when `error` is non-null, stores a one-line diagnosis.
-bool ValidateBenchJson(const std::string& path, std::string* error);
+// On success, when `results` is non-null, stores the parsed entries in file
+// order.
+bool ValidateBenchJson(const std::string& path, std::string* error,
+                       std::vector<BenchResult>* results = nullptr);
+
+// The first entry named `name`, or null.
+const BenchResult* FindBenchResult(const std::vector<BenchResult>& results,
+                                   const std::string& name);
 
 }  // namespace bench
 }  // namespace diffusion

@@ -51,6 +51,7 @@
 #include "src/naming/keys.h"
 #include "src/naming/matching.h"
 #include "src/util/rng.h"
+#include "tests/matching_reference.h"
 
 namespace diffusion {
 namespace {
@@ -284,34 +285,6 @@ std::vector<AttributeSet> MakeIneqMessages(size_t count, Rng* rng) {
   return messages;
 }
 
-// Pulls the recorded value of one metric back out of a bench JSON file we
-// wrote ourselves (fixed two-space formatting, so a scan is sufficient).
-bool ReadBenchValue(const std::string& path, const std::string& name, double* value) {
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) {
-    return false;
-  }
-  std::string text;
-  char buffer[4096];
-  size_t got = 0;
-  while ((got = std::fread(buffer, 1, sizeof buffer, file)) > 0) {
-    text.append(buffer, got);
-  }
-  std::fclose(file);
-  const std::string needle = "\"name\": \"" + name + "\"";
-  const size_t at = text.find(needle);
-  if (at == std::string::npos) {
-    return false;
-  }
-  const std::string value_key = "\"value\": ";
-  const size_t value_at = text.find(value_key, at);
-  if (value_at == std::string::npos) {
-    return false;
-  }
-  *value = std::strtod(text.c_str() + value_at + value_key.size(), nullptr);
-  return true;
-}
-
 // Nanoseconds per call of `fn` over the whole message stream, best of `reps`
 // (best-of tolerates scheduler noise better than the mean).
 template <typename Fn>
@@ -338,16 +311,19 @@ int Main(int argc, char** argv) {
   const std::string check = bench::StringFlag(argc, argv, "check");
   if (!check.empty()) {
     std::string error;
-    if (!bench::ValidateBenchJson(check, &error)) {
+    std::vector<bench::BenchResult> results;
+    if (!bench::ValidateBenchJson(check, &error, &results)) {
       std::fprintf(stderr, "FAIL: %s\n", error.c_str());
       return 1;
     }
     if (require_reduction > 0.0) {
-      double recorded = 0.0;
-      if (!ReadBenchValue(check, "ineq_candidate_reduction", &recorded)) {
+      const bench::BenchResult* reduction =
+          bench::FindBenchResult(results, "ineq_candidate_reduction");
+      if (reduction == nullptr) {
         std::fprintf(stderr, "FAIL: %s has no ineq_candidate_reduction metric\n", check.c_str());
         return 1;
       }
+      const double recorded = reduction->value;
       if (recorded < require_reduction) {
         std::fprintf(stderr,
                      "FAIL: recorded ineq_candidate_reduction %.1fx below "

@@ -154,57 +154,34 @@ void AppendPerRegionClamps(const RunOutput& run, std::vector<bench::BenchResult>
   }
 }
 
-bool ReadBenchValue(const std::string& path, const std::string& name, double* value) {
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) {
-    return false;
-  }
-  std::string text;
-  char buffer[4096];
-  size_t got = 0;
-  while ((got = std::fread(buffer, 1, sizeof buffer, file)) > 0) {
-    text.append(buffer, got);
-  }
-  std::fclose(file);
-  const std::string needle = "\"name\": \"" + name + "\"";
-  const size_t at = text.find(needle);
-  if (at == std::string::npos) {
-    return false;
-  }
-  const std::string value_key = "\"value\": ";
-  const size_t value_at = text.find(value_key, at);
-  if (value_at == std::string::npos) {
-    return false;
-  }
-  *value = std::strtod(text.c_str() + value_at + value_key.size(), nullptr);
-  return true;
-}
-
 int Main(int argc, char** argv) {
   const double require = std::strtod(
       bench::StringFlag(argc, argv, "require-speedup", "0").c_str(), nullptr);
   const std::string check = bench::StringFlag(argc, argv, "check");
   if (!check.empty()) {
     std::string error;
-    if (!bench::ValidateBenchJson(check, &error)) {
+    std::vector<bench::BenchResult> results;
+    if (!bench::ValidateBenchJson(check, &error, &results)) {
       std::fprintf(stderr, "FAIL: %s\n", error.c_str());
       return 1;
     }
     if (require > 0.0) {
-      double available = 0.0;
-      if (!ReadBenchValue(check, "threads_available", &available)) {
+      const bench::BenchResult* available = bench::FindBenchResult(results, "threads_available");
+      if (available == nullptr) {
         std::fprintf(stderr, "FAIL: %s has no threads_available metric\n", check.c_str());
         return 1;
       }
-      if (available < 4.0) {
+      if (available->value < 4.0) {
         std::printf("SKIP: recorded on %d hardware threads; speedup not meaningful below 4\n",
-                    static_cast<int>(available));
+                    static_cast<int>(available->value));
       } else {
-        double recorded = 0.0;
-        if (!ReadBenchValue(check, "parallel_speedup_4t", &recorded)) {
+        const bench::BenchResult* speedup =
+            bench::FindBenchResult(results, "parallel_speedup_4t");
+        if (speedup == nullptr) {
           std::fprintf(stderr, "FAIL: %s has no parallel_speedup_4t metric\n", check.c_str());
           return 1;
         }
+        const double recorded = speedup->value;
         if (recorded < require) {
           std::fprintf(stderr,
                        "FAIL: recorded parallel_speedup_4t %.2fx below --require-speedup=%.1f\n",

@@ -18,25 +18,20 @@ namespace diffusion {
 // Figure 2: for each formal a in A, some actual b in B with a.key == b.key
 // must satisfy a's comparison. A set with no formals trivially matches.
 //
-// The canonical AttributeSet functions are the fast path (merge-scans over
+// These canonical AttributeSet functions are the fast path (merge-scans over
 // the sorted form, plus a precomputed-hash pre-check for ExactMatch) and the
 // API everything routes through; AttributeVector arguments canonicalize
-// implicitly. The *Linear variants are the pre-PR reference implementation
-// (a direct transcription of Figure 2, nested linear scans), kept for the
-// matching_hotpath benchmark and the randomized equivalence tests in
-// tests/matching_test.cc — the two must agree on every input.
+// implicitly. tests/matching_reference.h holds the direct nested-scan
+// transcription of Figure 2 they are checked against.
 bool OneWayMatch(const AttributeSet& a, const AttributeSet& b);
-bool OneWayMatchLinear(const AttributeVector& a, const AttributeVector& b);
 
 // Complete (two-way) match: OneWayMatch(a, b) && OneWayMatch(b, a).
 bool TwoWayMatch(const AttributeSet& a, const AttributeSet& b);
-bool TwoWayMatchLinear(const AttributeVector& a, const AttributeVector& b);
 
 // Exact structural equality of two attribute sets, insensitive to order.
 // Used by the diffusion core to recognize "the same interest" rather than a
 // merely compatible one.
 bool ExactMatch(const AttributeSet& a, const AttributeSet& b);
-bool ExactMatchLinear(const AttributeVector& a, const AttributeVector& b);
 
 // Order-insensitive hash over an attribute set. The diffusion core compares
 // hashes before full data as an optimization (§3.1: "hashes of attributes

@@ -69,12 +69,6 @@ class DIFFUSION_THREAD_COMPATIBLE Channel {
 
   void Attach(ChannelEndpoint* endpoint);
 
-  // Pre-overhaul reception bookkeeping: resolve the receiver's endpoint and
-  // stats through the hash tables on every reception outcome instead of the
-  // pointers cached at Transmit. Outcomes are identical; only lookup cost
-  // differs. The measured baseline for bench/engine_throughput.
-  void set_compat_lookups(bool compat) { compat_lookups_ = compat; }
-
   // Detaches `node` and scrubs its in-flight receptions: transmissions still
   // on the air stop targeting it, so a node detached mid-flight neither
   // receives the frame nor counts toward collision/loss statistics — even if
@@ -139,6 +133,7 @@ class DIFFUSION_THREAD_COMPATIBLE Channel {
     // nodes' inserts never move them).
     ChannelEndpoint* endpoint = nullptr;
     ChannelStats* stats = nullptr;
+    uint32_t slot = 0;  // the receiver's index into slots_
   };
   struct ActiveTx {
     NodeId sender;
@@ -150,37 +145,38 @@ class DIFFUSION_THREAD_COMPATIBLE Channel {
 
   void FinishTransmit(uint64_t tx_id);
 
-  // Dense-mode transmission ids are (generation << 32) | (slot + 1) into
-  // tx_slabs_, the slot-and-generation slab that replaces the active_ hash
-  // map (no hash-node allocation per frame; reception vectors keep their
-  // capacity across reuse via recycled_receptions_). Compat mode keeps the
-  // sequential ids + hash map of the pre-overhaul engine.
+  // Transmission ids are (generation << 32) | (slot + 1) into tx_slabs_, a
+  // slot-and-generation slab (no hash-node allocation per frame; reception
+  // vectors keep their capacity across reuse via recycled_receptions_).
   uint64_t AllocTx();
   ActiveTx* ResolveTx(uint64_t tx_id);
 
-  // Dense per-receiver bookkeeping (the overhauled fast path). Slots are
-  // assigned once per node id at first Attach and survive detach/reattach;
-  // in_air keeps its capacity across transmissions instead of being erased
-  // and reallocated through the ongoing_ hash table per frame.
+  // Per-receiver bookkeeping. Slots are assigned once per node id at first
+  // Attach and survive detach/reattach; in_air keeps its capacity across
+  // transmissions. Memory grows with the number of distinct ids attached,
+  // not with the largest id.
   struct ReceiverSlot {
     std::vector<std::pair<uint64_t, size_t>> in_air;  // (tx id, reception idx)
     ChannelStats* stats = nullptr;  // into node_stats_ (node-based, stable)
   };
-  ReceiverSlot& SlotFor(NodeId node);
+  // An attached endpoint and its receiver slot, so the per-receiver loops
+  // need no second lookup.
+  struct Attached {
+    ChannelEndpoint* endpoint = nullptr;
+    uint32_t slot = 0;
+  };
+  // The receiver slot of `node`, or null if it never attached.
+  ReceiverSlot* FindSlot(NodeId node);
 
   Simulator* sim_;
   std::unique_ptr<PropagationModel> propagation_;
-  bool compat_lookups_ = false;
   TransmitObserver* transmit_observer_ = nullptr;
   std::vector<NodeId> remote_delivery_scratch_;
   Rng rng_;
-  std::unordered_map<NodeId, ChannelEndpoint*> endpoints_;
-  uint64_t next_tx_id_ = 1;
-  std::unordered_map<uint64_t, ActiveTx> active_;
-  // receiver -> list of (tx id, reception index) currently in the air at it
-  // (the pre-overhaul structure; used only with compat_lookups_)
-  std::unordered_map<NodeId, std::vector<std::pair<uint64_t, size_t>>> ongoing_;
-  std::vector<uint32_t> slot_of_;  // node id -> slot index + 1, 0 = none
+  // Iteration order feeds the per-receiver RNG draws in Transmit, so it is
+  // part of the simulation's behaviour.
+  std::unordered_map<NodeId, Attached> endpoints_;
+  std::unordered_map<NodeId, uint32_t> slot_of_;  // node id -> index into slots_
   std::vector<ReceiverSlot> slots_;
   struct TxSlab {
     ActiveTx tx;

@@ -21,10 +21,11 @@
 namespace diffusion {
 
 // One link-layer fragment of a diffusion message. Carries either a byte
-// slice (`payload`, the pre-overhaul path — still used by micro nodes and
-// the compat engine mode) or a view into a shared zero-copy body (`body` +
-// `body_offset`/`payload_len`). Both forms report identical wire sizes, so
-// MAC admission, airtime and every traced byte count are unchanged.
+// slice (`payload`, fed by Radio::SendMessage: micro nodes and tests that
+// send raw bytes) or a view into a shared zero-copy body (`body` +
+// `body_offset`/`payload_len`, fed by Radio::SendBody: every DiffusionNode
+// transmission). Both forms report identical wire sizes, so MAC admission,
+// airtime and every traced byte count agree.
 struct Fragment {
   NodeId src = 0;
   NodeId dst = kBroadcastId;
@@ -64,7 +65,9 @@ std::vector<Fragment> SplitBody(NodeId src, NodeId dst, uint32_t message_seq, Bo
 
 // Collects fragments until a message completes. Incomplete messages are
 // purged after `timeout`; a message with a lost fragment therefore never
-// surfaces, matching the no-ARQ radio.
+// surfaces, matching the no-ARQ radio. Both fragment forms reassemble here:
+// the byte path stays because micro nodes and Radio::SendMessage callers
+// still feed it.
 class Reassembler {
  public:
   explicit Reassembler(SimDuration timeout) : timeout_(timeout) {}
@@ -72,8 +75,8 @@ class Reassembler {
   struct Completed {
     NodeId src;
     NodeId dst;
-    // Byte-path completion: the reassembled payload. Empty for zero-copy
-    // completions (see `body`).
+    // Byte-path completion (Radio::SendMessage senders): the reassembled
+    // payload. Empty for zero-copy completions (see `body`).
     std::vector<uint8_t> payload;
     // Zero-copy completion: the shared message body. Null on the byte path.
     BodyRef body;

@@ -58,9 +58,6 @@ bool DiskPropagation::Reaches(NodeId from, NodeId to) const {
   if (from == to) {
     return false;
   }
-  if (!reach_cache_enabled_) {
-    return ReachesUncached(from, to);
-  }
   if (reach_stride_ == 0) {
     // (Re)size the memo to cover every id the tables mention. Stays empty
     // (stride 1) until the first id shows up.

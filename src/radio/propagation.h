@@ -63,14 +63,6 @@ class DiskPropagation : public PropagationModel {
     inter_floor_range_ = range;
     InvalidateReachCache();
   }
-  // The memoized reachability matrix is part of the hot-path memory-layout
-  // overhaul; the compat engine turns it off to reproduce the pre-overhaul
-  // hash-table-per-query lookups it is the measured baseline for. Answers
-  // are identical either way.
-  void set_reach_cache_enabled(bool enabled) {
-    reach_cache_enabled_ = enabled;
-    InvalidateReachCache();
-  }
 
   bool Reaches(NodeId from, NodeId to) const override;
   double DeliveryProbability(NodeId from, NodeId to, SimTime now) const override;
@@ -114,7 +106,6 @@ class DiskPropagation : public PropagationModel {
   std::unordered_map<NodeId, Position> positions_;
   std::unordered_map<LinkKey, LinkQuality> link_quality_;
   std::unordered_map<LinkKey, bool> blocked_;
-  bool reach_cache_enabled_ = true;
   mutable std::vector<int8_t> reach_cache_;  // -1 unknown, else 0/1
   mutable NodeId reach_stride_ = 0;
 };

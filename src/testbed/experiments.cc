@@ -40,6 +40,11 @@ size_t PossibleEvents(SimTime source_start, SimDuration interval, SimTime window
   return static_cast<size_t>(last > first ? last - first : 0);
 }
 
+// SlotPool acquires that had to carve a new slot instead of reusing one.
+uint64_t PoolSlotsGrown(Simulator& sim) {
+  return sim.slot_pool().acquires() - sim.slot_pool().reuses();
+}
+
 // Network-wide relative radio energy over a run of `elapsed`: measured
 // listen/receive/send times at power ratios 1:2:2 (the §6.1 model, fed with
 // observations instead of assumptions), in units of second-equivalents.
@@ -127,6 +132,10 @@ Fig8Result RunFig8Sharded(const Fig8Params& params) {
 
   Fig8Result result;
   result.events_executed = events_executed;
+  for (int region = 0; region < world.engine().regions(); ++region) {
+    result.pool_slots_grown += PoolSlotsGrown(world.engine().region_sim(region));
+  }
+  result.receptions_attempted = world.TotalChannelStats().receptions_attempted;
   result.diffusion_bytes = TotalDiffusionBytes(world.nodes()) - bytes_at_warmup;
   result.distinct_events = sink.distinct_events() - events_at_warmup;
   result.possible_events = PossibleEvents(source_start, sconfig.event_interval, params.warmup,
@@ -167,11 +176,7 @@ Fig8Result RunFig8(const Fig8Params& params) {
   // during teardown still have a live sink.
   std::unique_ptr<TraceWriter> trace_writer;
   TraceSink* trace_sink = ResolveTraceSink(params.trace_sink, params.trace_out, &trace_writer);
-  const bool compat_scheduler = params.compat_engine || params.compat_scheduler;
-  const bool compat_wire = params.compat_engine || params.compat_wire;
-  const bool compat_channel = params.compat_engine || params.compat_channel;
-  Simulator sim(params.seed, compat_scheduler ? EventScheduler::Impl::kCompatBinaryHeap
-                                              : EventScheduler::Impl::kPairingHeap);
+  Simulator sim(params.seed);
   if (trace_sink != nullptr) {
     sim.set_trace_sink(trace_sink);
   }
@@ -191,19 +196,13 @@ Fig8Result RunFig8(const Fig8Params& params) {
     }
     propagation = std::move(shadowed);
   } else {
-    auto disk = MakePropagation(layout, params.link_delivery);
-    // The compat baseline also forgoes the reach memo (it did not exist
-    // pre-overhaul); answers are identical, only lookup cost differs.
-    disk->set_reach_cache_enabled(!compat_channel);
-    propagation = std::move(disk);
+    propagation = MakePropagation(layout, params.link_delivery);
   }
   Channel channel(&sim, std::move(propagation));
-  channel.set_compat_lookups(compat_channel);
 
   DiffusionConfig dconfig;
   dconfig.exploratory_every = params.exploratory_every;
   dconfig.variant = params.variant;
-  dconfig.compat_wire_path = compat_wire;
   // ~5 message airtimes at 13 kb/s: enough spread to interleave concurrent
   // flood re-broadcasts from hidden terminals.
   dconfig.forward_delay_jitter = 300 * kMillisecond;
@@ -257,6 +256,8 @@ Fig8Result RunFig8(const Fig8Params& params) {
 
   Fig8Result result;
   result.events_executed = events_executed;
+  result.pool_slots_grown = PoolSlotsGrown(sim);
+  result.receptions_attempted = channel.stats().receptions_attempted;
   result.diffusion_bytes = TotalDiffusionBytes(nodes) - bytes_at_warmup;
   result.distinct_events = sink.distinct_events() - events_at_warmup;
   result.possible_events = PossibleEvents(source_start, sconfig.event_interval, params.warmup,

@@ -15,6 +15,7 @@
 #include "src/trace/trace.h"
 #include "src/util/rng.h"
 #include "tests/test_util.h"
+#include "tests/matching_reference.h"
 
 namespace diffusion {
 namespace {

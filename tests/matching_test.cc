@@ -11,6 +11,7 @@
 #include "src/naming/keys.h"
 #include "src/naming/matching.h"
 #include "src/util/rng.h"
+#include "tests/matching_reference.h"
 
 namespace diffusion {
 namespace {

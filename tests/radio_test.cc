@@ -275,6 +275,58 @@ TEST(RadioTest, HiddenTerminalCollision) {
   EXPECT_GE(channel->stats().collisions, 2u);
 }
 
+TEST(RadioTest, LargeNodeIdsShareOneChannel) {
+  // Channel bookkeeping costs memory per attached endpoint, not per id value:
+  // an id near the top of the 32-bit range must neither allocate an
+  // id-indexed table nor change delivery, collision or per-node accounting.
+  constexpr NodeId kBig = 0xFFFFFFF0u;
+  Simulator sim(13);
+  auto disk = std::make_unique<DiskPropagation>(10.0);
+  disk->SetPosition(1, {0, 0, 0});
+  disk->SetPosition(2, {8, 0, 0});
+  disk->SetPosition(kBig, {16, 0, 0});  // hidden from node 1; both reach 2
+  Channel channel(&sim, std::move(disk));
+  RadioConfig config = FastRadio();
+  config.mac.initial_jitter = 0;  // force exact overlap below
+  Radio a(&sim, &channel, 1, config);
+  Radio b(&sim, &channel, 2, config);
+  Radio big(&sim, &channel, kBig, config);
+  std::vector<NodeId> b_heard_from;
+  b.SetReceiveCallback(
+      [&](NodeId src, const std::vector<uint8_t>&) { b_heard_from.push_back(src); });
+
+  // Delivery from the large id.
+  big.SendMessage(kBroadcastId, std::vector<uint8_t>(20, 1));
+  sim.RunUntil(kSecond);
+  EXPECT_EQ(b_heard_from, (std::vector<NodeId>{kBig}));
+  const ChannelStats big_before = channel.NodeStats(kBig);
+  EXPECT_GT(big_before.transmissions, 0u);
+
+  // Hidden-terminal collision between node 1 and the large id at node 2.
+  const uint64_t collisions_before = channel.stats().collisions;
+  a.SendMessage(kBroadcastId, std::vector<uint8_t>(20, 2));
+  big.SendMessage(kBroadcastId, std::vector<uint8_t>(20, 3));
+  sim.RunUntil(2 * kSecond);
+  EXPECT_EQ(b_heard_from.size(), 1u);
+  EXPECT_GE(channel.stats().collisions - collisions_before, 2u);
+  EXPECT_GE(channel.NodeStats(2).collisions, 2u);
+
+  // Per-node counters survive Detach and re-Attach under the large id.
+  const ChannelStats big_attached = channel.NodeStats(kBig);
+  channel.Detach(kBig);
+  EXPECT_EQ(channel.NodeStats(kBig).transmissions, big_attached.transmissions);
+  EXPECT_EQ(channel.NodeStatsSinceAttach(kBig).transmissions, 0u);
+  channel.Attach(&big);
+  EXPECT_EQ(channel.NodeStats(kBig).transmissions, big_attached.transmissions);
+  EXPECT_EQ(channel.NodeStatsSinceAttach(kBig).transmissions, 0u);
+  b.SendMessage(kBroadcastId, std::vector<uint8_t>(20, 4));
+  sim.RunUntil(3 * kSecond);
+  const ChannelStats since = channel.NodeStatsSinceAttach(kBig);
+  EXPECT_GT(since.deliveries, 0u);
+  EXPECT_EQ(since.transmissions, 0u);
+  EXPECT_EQ(channel.NodeStats(kBig).deliveries, big_attached.deliveries + since.deliveries);
+}
+
 TEST(RadioTest, CarrierSenseAvoidsCollisionWhenInRange) {
   // When both senders hear each other, CSMA serializes them.
   Simulator sim(5);
