@@ -7,9 +7,9 @@
 // Determinism contract:
 //  * The deterministic section (events executed, delivered events, bytes,
 //    the trace fingerprint of a short traced run, and the work counters
-//    pool_slots_grown and receptions_attempted) is byte-identical for any
-//    --jobs; scripts/check.sh cmp-gates --deterministic-only output across
-//    --jobs values.
+//    pool_slots_grown, receptions_attempted and receivers_scanned) is
+//    byte-identical for any --jobs; scripts/check.sh cmp-gates
+//    --deterministic-only output across --jobs values.
 //  * --check reruns that section at the recorded runs/minutes and fails
 //    unless every deterministic row equals the recorded value, so any
 //    change that makes the engine do more work (or different work) fails
@@ -83,12 +83,14 @@ std::vector<bench::BenchResult> DeterministicSection(int runs, int minutes, uint
   uint64_t total_bytes = 0;
   uint64_t pool_slots_grown = 0;
   uint64_t receptions_attempted = 0;
+  uint64_t receivers_scanned = 0;
   for (const Fig8Result& result : det_results) {
     total_events += result.events_executed;
     total_delivered += result.distinct_events;
     total_bytes += result.diffusion_bytes;
     pool_slots_grown += result.pool_slots_grown;
     receptions_attempted += result.receptions_attempted;
+    receivers_scanned += result.receivers_scanned;
   }
   return {
       {"runs", "count", static_cast<double>(runs)},
@@ -99,6 +101,7 @@ std::vector<bench::BenchResult> DeterministicSection(int runs, int minutes, uint
       {"trace_fingerprint", "hash53", static_cast<double>(fingerprint)},
       {"pool_slots_grown", "count", static_cast<double>(pool_slots_grown)},
       {"receptions_attempted", "count", static_cast<double>(receptions_attempted)},
+      {"receivers_scanned", "count", static_cast<double>(receivers_scanned)},
   };
 }
 

@@ -65,6 +65,8 @@ struct RunOutput {
   uint64_t diffusion_bytes = 0;
   uint64_t border_frames = 0;
   uint64_t deliveries_clamped = 0;
+  uint64_t receivers_scanned = 0;  // channel receiver-list entries visited
+  uint64_t windows_run = 0;        // barriers taken (idle windows skipped)
   std::vector<uint64_t> clamped_by_region;
   uint64_t fingerprint = 0;
   uint64_t trace_events = 0;
@@ -131,6 +133,8 @@ RunOutput RunWorld(int side, int regions, unsigned threads, uint64_t seed, int s
   }
   output.border_frames = world.bridge().frames_handed_off();
   output.deliveries_clamped = world.bridge().deliveries_clamped();
+  output.receivers_scanned = world.TotalChannelStats().receivers_scanned;
+  output.windows_run = world.engine().windows_run();
   for (int r = 0; r < world.region_map().regions(); ++r) {
     output.clamped_by_region.push_back(world.bridge().deliveries_clamped_in(r));
   }
@@ -210,12 +214,15 @@ int Main(int argc, char** argv) {
     const unsigned threads = static_cast<unsigned>(bench::IntFlag(argc, argv, "threads", 1));
     const RunOutput run = RunWorld(side, regions, threads, seed, fp_seconds, /*traced=*/true);
     std::printf("nodes=%d regions=%d window_us=%lld events=%llu bytes=%llu border=%llu "
-                "clamped=%llu fp=%llu trace_events=%llu delivered=%zu\n",
+                "clamped=%llu scanned=%llu windows=%llu fp=%llu trace_events=%llu "
+                "delivered=%zu\n",
                 side * side, run.regions, static_cast<long long>(run.window / kMicrosecond),
                 static_cast<unsigned long long>(run.events_executed),
                 static_cast<unsigned long long>(run.diffusion_bytes),
                 static_cast<unsigned long long>(run.border_frames),
                 static_cast<unsigned long long>(run.deliveries_clamped),
+                static_cast<unsigned long long>(run.receivers_scanned),
+                static_cast<unsigned long long>(run.windows_run),
                 static_cast<unsigned long long>(run.fingerprint),
                 static_cast<unsigned long long>(run.trace_events), run.distinct_events);
     if (!out.empty()) {
@@ -228,6 +235,8 @@ int Main(int argc, char** argv) {
           {"diffusion_bytes", "bytes", static_cast<double>(run.diffusion_bytes)},
           {"border_frames", "count", static_cast<double>(run.border_frames)},
           {"deliveries_clamped", "count", static_cast<double>(run.deliveries_clamped)},
+          {"receivers_scanned", "count", static_cast<double>(run.receivers_scanned)},
+          {"windows_run", "count", static_cast<double>(run.windows_run)},
           {"trace_fingerprint", "hash53", static_cast<double>(run.fingerprint)},
           {"trace_events", "count", static_cast<double>(run.trace_events)},
       };
@@ -293,6 +302,8 @@ int Main(int argc, char** argv) {
         {"diffusion_bytes", "bytes", static_cast<double>(fp_runs[0].diffusion_bytes)},
         {"border_frames", "count", static_cast<double>(fp_runs[0].border_frames)},
         {"deliveries_clamped", "count", static_cast<double>(fp_runs[0].deliveries_clamped)},
+        {"receivers_scanned", "count", static_cast<double>(fp_runs[0].receivers_scanned)},
+        {"windows_run", "count", static_cast<double>(fp_runs[0].windows_run)},
         {"trace_fingerprint", "hash53", static_cast<double>(fp_runs[0].fingerprint)},
         {"events_per_sec_t1", "events/s", events_per_sec[0]},
         {"events_per_sec_t2", "events/s", events_per_sec[1]},

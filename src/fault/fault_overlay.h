@@ -26,7 +26,10 @@ class FaultOverlayPropagation : public PropagationModel {
 
   // ---- fault surface (driven by FaultInjector) ----
 
-  void BlackoutLink(NodeId from, NodeId to) { blackouts_.insert(MakeKey(from, to)); }
+  void BlackoutLink(NodeId from, NodeId to) {
+    blackouts_.insert(MakeKey(from, to));
+    TopologyChanged();
+  }
   void DegradeLink(NodeId from, NodeId to, double delivery) {
     degraded_[MakeKey(from, to)] = delivery;
   }
@@ -34,6 +37,7 @@ class FaultOverlayPropagation : public PropagationModel {
   void RestoreLink(NodeId from, NodeId to) {
     blackouts_.erase(MakeKey(from, to));
     degraded_.erase(MakeKey(from, to));
+    TopologyChanged();
   }
   // Caps delivery on every link `node` participates in, either direction.
   void DegradeNode(NodeId node, double delivery) { node_degrade_[node] = delivery; }
@@ -45,6 +49,7 @@ class FaultOverlayPropagation : public PropagationModel {
     partition_side_.clear();
     for (NodeId node : group_a) partition_side_[node] = 0;
     for (NodeId node : group_b) partition_side_[node] = 1;
+    TopologyChanged();
   }
 
   // Clears every overlay override (blackouts, degradations, partition).
@@ -53,9 +58,17 @@ class FaultOverlayPropagation : public PropagationModel {
     degraded_.clear();
     node_degrade_.clear();
     partition_side_.clear();
+    TopologyChanged();
   }
 
   // ---- PropagationModel ----
+
+  // Degradations only touch DeliveryProbability, so they leave the version
+  // alone; severing or restoring links moves it, and so does any change
+  // the inner model reports.
+  uint64_t topology_version() const override {
+    return PropagationModel::topology_version() + inner_->topology_version();
+  }
 
   bool Reaches(NodeId from, NodeId to) const override {
     if (Severed(from, to)) {

@@ -8,7 +8,10 @@
 namespace diffusion {
 
 Channel::Channel(Simulator* sim, std::unique_ptr<PropagationModel> propagation)
-    : sim_(sim), propagation_(std::move(propagation)), rng_(sim->rng().Fork()) {}
+    : sim_(sim),
+      propagation_(std::move(propagation)),
+      rng_(sim->rng().Fork()),
+      receivers_version_(propagation_->topology_version()) {}
 
 ChannelStats operator-(const ChannelStats& a, const ChannelStats& b) {
   ChannelStats delta;
@@ -17,6 +20,7 @@ ChannelStats operator-(const ChannelStats& a, const ChannelStats& b) {
   delta.collisions = a.collisions - b.collisions;
   delta.propagation_losses = a.propagation_losses - b.propagation_losses;
   delta.deliveries = a.deliveries - b.deliveries;
+  delta.receivers_scanned = a.receivers_scanned - b.receivers_scanned;
   return delta;
 }
 
@@ -25,13 +29,29 @@ Channel::ReceiverSlot* Channel::FindSlot(NodeId node) {
   return it == slot_of_.end() ? nullptr : &slots_[it->second];
 }
 
+namespace {
+
+template <typename Entry>
+bool NodeBelow(const Entry& entry, NodeId node) {
+  return entry.node < node;
+}
+
+}  // namespace
+
 void Channel::Attach(ChannelEndpoint* endpoint) {
   const NodeId node = endpoint->node_id();
   auto [slot_it, fresh] = slot_of_.try_emplace(node, static_cast<uint32_t>(slots_.size()));
   if (fresh) {
     slots_.emplace_back();
   }
-  endpoints_[node] = Attached{endpoint, slot_it->second};
+  const Receiver entry{node, endpoint, slot_it->second};
+  auto at = std::lower_bound(attached_.begin(), attached_.end(), node, NodeBelow<Receiver>);
+  if (at != attached_.end() && at->node == node) {
+    *at = entry;
+  } else {
+    attached_.insert(at, entry);
+  }
+  receivers_.clear();
   // Restore counters parked by a previous Detach (a reattach after a
   // blackout), and remember their value now so NodeStatsSinceAttach can
   // report this attachment's traffic free of pre-fault history.
@@ -45,7 +65,11 @@ void Channel::Attach(ChannelEndpoint* endpoint) {
 }
 
 void Channel::Detach(NodeId node) {
-  endpoints_.erase(node);
+  auto at = std::lower_bound(attached_.begin(), attached_.end(), node, NodeBelow<Receiver>);
+  if (at != attached_.end() && at->node == node) {
+    attached_.erase(at);
+  }
+  receivers_.clear();
   auto stats_it = node_stats_.find(node);
   if (stats_it != node_stats_.end()) {
     parked_stats_[node] = stats_it->second;
@@ -77,6 +101,9 @@ void Channel::RegisterMetrics(MetricsRegistry* registry) const {
   });
   registry->RegisterGlobalCounter("channel.deliveries",
                                   [this] { return static_cast<double>(stats_.deliveries); });
+  registry->RegisterGlobalCounter("channel.receivers_scanned", [this] {
+    return static_cast<double>(stats_.receivers_scanned);
+  });
 }
 
 ChannelStats Channel::NodeStats(NodeId node) const {
@@ -97,10 +124,42 @@ ChannelStats Channel::NodeStatsSinceAttach(NodeId node) const {
   return NodeStats(node) - base->second;
 }
 
-bool Channel::CarrierBusyAt(NodeId node) const {
+const std::vector<Channel::Receiver>& Channel::ReceiversOf(NodeId sender) {
+  const uint64_t version = propagation_->topology_version();
+  if (version != receivers_version_) {
+    receivers_.clear();
+    receivers_version_ = version;
+  }
+  auto [it, fresh] = receivers_.try_emplace(sender);
+  if (fresh) {
+    for (const Receiver& receiver : attached_) {
+      if (receiver.node != sender && propagation_->Reaches(sender, receiver.node)) {
+        it->second.push_back(receiver);
+      }
+    }
+  }
+  return it->second;
+}
+
+std::vector<NodeId> Channel::ReceiverIds(NodeId sender) {
+  std::vector<NodeId> ids;
+  for (const Receiver& receiver : ReceiversOf(sender)) {
+    ids.push_back(receiver.node);
+  }
+  return ids;
+}
+
+bool Channel::CarrierBusyAt(NodeId node) {
   for (const TxSlab& slab : tx_slabs_) {
-    if (slab.live &&
-        (slab.tx.sender == node || propagation_->Reaches(slab.tx.sender, node))) {
+    if (!slab.live) {
+      continue;
+    }
+    if (slab.tx.sender == node) {
+      return true;
+    }
+    const std::vector<Receiver>& receivers = ReceiversOf(slab.tx.sender);
+    auto it = std::lower_bound(receivers.begin(), receivers.end(), node, NodeBelow<Receiver>);
+    if (it != receivers.end() && it->node == node) {
       return true;
     }
   }
@@ -156,14 +215,15 @@ void Channel::Transmit(NodeId sender, Fragment fragment, SimDuration duration) {
     }
   }
 
-  for (auto& [node, attached] : endpoints_) {
-    ChannelEndpoint* endpoint = attached.endpoint;
-    if (node == sender || !endpoint->IsAlive() || !endpoint->IsAwake() ||
-        !propagation_->Reaches(sender, node)) {
+  const std::vector<Receiver>& receivers = ReceiversOf(sender);
+  stats_.receivers_scanned += receivers.size();
+  for (const Receiver& receiver : receivers) {
+    ChannelEndpoint* endpoint = receiver.endpoint;
+    if (!endpoint->IsAlive() || !endpoint->IsAwake()) {
       continue;
     }
     ++stats_.receptions_attempted;
-    ReceiverSlot& slot = slots_[attached.slot];
+    ReceiverSlot& slot = slots_[receiver.slot];
     ++slot.stats->receptions_attempted;
     bool corrupted = endpoint->IsTransmitting();
     // Overlap with anything already in the air at this receiver corrupts
@@ -175,7 +235,7 @@ void Channel::Transmit(NodeId sender, Fragment fragment, SimDuration duration) {
       }
     }
     tx.receptions.push_back(
-        Reception{node, corrupted, false, endpoint, slot.stats, attached.slot});
+        Reception{receiver.node, corrupted, false, endpoint, slot.stats, receiver.slot});
     slot.in_air.emplace_back(tx_id, tx.receptions.size() - 1);
   }
 
@@ -188,26 +248,22 @@ void Channel::Transmit(NodeId sender, Fragment fragment, SimDuration duration) {
 }
 
 void Channel::DeliverRemote(NodeId sender, const Fragment& fragment, SimDuration airtime) {
-  remote_delivery_scratch_.clear();
-  for (const auto& [node, attached] : endpoints_) {
-    remote_delivery_scratch_.push_back(node);
-  }
-  std::sort(remote_delivery_scratch_.begin(), remote_delivery_scratch_.end());
-
   const uint64_t link_packet = (static_cast<uint64_t>(fragment.src) << 32) | fragment.message_seq;
-  for (NodeId node : remote_delivery_scratch_) {
-    const Attached& attached = endpoints_[node];
-    ChannelEndpoint* endpoint = attached.endpoint;
-    if (node == sender || !endpoint->IsAlive() || !endpoint->IsAwake() ||
-        !propagation_->Reaches(sender, node)) {
+  const std::vector<Receiver>& receivers = ReceiversOf(sender);
+  stats_.receivers_scanned += receivers.size();
+  for (const Receiver& receiver : receivers) {
+    const NodeId node = receiver.node;
+    ChannelEndpoint* endpoint = receiver.endpoint;
+    if (!endpoint->IsAlive() || !endpoint->IsAwake()) {
       continue;
     }
     ++stats_.receptions_attempted;
-    ChannelStats& receiver_stats = node_stats_[node];
+    const ReceiverSlot& slot = slots_[receiver.slot];
+    ChannelStats& receiver_stats = *slot.stats;
     ++receiver_stats.receptions_attempted;
     // Mid-reception of a local frame: the remote frame is lost to overlap
     // (the local frame survives — see the header on the border model).
-    const bool busy = endpoint->IsTransmitting() || !slots_[attached.slot].in_air.empty();
+    const bool busy = endpoint->IsTransmitting() || !slot.in_air.empty();
     if (busy) {
       ++stats_.collisions;
       ++receiver_stats.collisions;

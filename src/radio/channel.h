@@ -5,6 +5,14 @@
 // a receiver corrupt each other there (no capture effect), which is what
 // produces the hidden-terminal losses the paper's testbed suffered. A node
 // that is itself transmitting cannot receive (half-duplex).
+//
+// Each sender's reachable endpoints are kept as a receiver list in ascending
+// id order, built on the sender's first frame and dropped whenever an
+// endpoint attaches or detaches or the propagation model's
+// topology_version() moves. A frame therefore costs O(receivers), not
+// O(attached endpoints), and receivers resolve in id order, so the
+// per-receiver RNG draws depend on neither hash-table layout nor attach
+// order.
 
 #ifndef SRC_RADIO_CHANNEL_H_
 #define SRC_RADIO_CHANNEL_H_
@@ -53,6 +61,10 @@ struct ChannelStats {
   uint64_t collisions = 0;            // receptions lost to overlap/half-duplex
   uint64_t propagation_losses = 0;    // receptions lost to link quality
   uint64_t deliveries = 0;
+  // Receiver-list entries visited by Transmit and DeliverRemote (a work
+  // counter: the per-frame channel cost). Channel-wide only; per-node stats
+  // leave it zero.
+  uint64_t receivers_scanned = 0;
 };
 
 // `a - b`, field-wise. Used for per-endpoint deltas across a reattach.
@@ -78,8 +90,9 @@ class DIFFUSION_THREAD_COMPATIBLE Channel {
   void Detach(NodeId node);
 
   // True if any in-flight transmission puts energy at `node` (including the
-  // node's own transmission).
-  bool CarrierBusyAt(NodeId node) const;
+  // node's own transmission). Answered from the senders' receiver lists, so
+  // `node` must be attached.
+  bool CarrierBusyAt(NodeId node);
 
   // Puts `fragment` on the air for `duration`. Reception outcomes resolve
   // when the transmission ends.
@@ -98,9 +111,13 @@ class DIFFUSION_THREAD_COMPATIBLE Channel {
   // frame arrives fully decoded-or-not at once (a receiver mid-reception of a
   // local frame loses the remote one to overlap, but the remote frame does
   // not retroactively corrupt the local one — the documented border
-  // approximation of the sharded core). Receivers resolve in ascending node
-  // id order so the outcome is independent of hash-table layout.
+  // approximation of the sharded core). Receivers come from the sender's
+  // receiver list, in ascending id order like Transmit's.
   void DeliverRemote(NodeId sender, const Fragment& fragment, SimDuration airtime);
+
+  // Ids of the attached endpoints a frame from `sender` is offered to — its
+  // receiver list — ascending. `sender` need not be attached here.
+  std::vector<NodeId> ReceiverIds(NodeId sender);
 
   PropagationModel& propagation() { return *propagation_; }
   const ChannelStats& stats() const { return stats_; }
@@ -159,23 +176,31 @@ class DIFFUSION_THREAD_COMPATIBLE Channel {
     std::vector<std::pair<uint64_t, size_t>> in_air;  // (tx id, reception idx)
     ChannelStats* stats = nullptr;  // into node_stats_ (node-based, stable)
   };
-  // An attached endpoint and its receiver slot, so the per-receiver loops
-  // need no second lookup.
-  struct Attached {
-    ChannelEndpoint* endpoint = nullptr;
-    uint32_t slot = 0;
-  };
   // The receiver slot of `node`, or null if it never attached.
   ReceiverSlot* FindSlot(NodeId node);
+
+  // An attached endpoint and its receiver slot, so the per-receiver loops
+  // need no second lookup.
+  struct Receiver {
+    NodeId node;
+    ChannelEndpoint* endpoint;
+    uint32_t slot;
+  };
+  // The attached endpoints `sender` reaches (sender excluded), ascending by
+  // id. Built on first use; valid until the next Attach, Detach or topology
+  // version change, which is checked here.
+  const std::vector<Receiver>& ReceiversOf(NodeId sender);
 
   Simulator* sim_;
   std::unique_ptr<PropagationModel> propagation_;
   TransmitObserver* transmit_observer_ = nullptr;
-  std::vector<NodeId> remote_delivery_scratch_;
   Rng rng_;
-  // Iteration order feeds the per-receiver RNG draws in Transmit, so it is
-  // part of the simulation's behaviour.
-  std::unordered_map<NodeId, Attached> endpoints_;
+  // Every attached endpoint, ascending by id; receiver lists are filtered
+  // from it and so come out in id order.
+  std::vector<Receiver> attached_;
+  // Sender id -> receiver list; remote senders (DeliverRemote) get one too.
+  std::unordered_map<NodeId, std::vector<Receiver>> receivers_;
+  uint64_t receivers_version_ = 0;  // topology_version() the lists match
   std::unordered_map<NodeId, uint32_t> slot_of_;  // node id -> index into slots_
   std::vector<ReceiverSlot> slots_;
   struct TxSlab {

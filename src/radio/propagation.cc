@@ -22,25 +22,35 @@ DiskPropagation::DiskPropagation(double range, double default_delivery_probabili
     : range_(range), default_delivery_probability_(default_delivery_probability) {}
 
 void DiskPropagation::SetPosition(NodeId node, Position position) {
-  positions_[node] = position;
-  InvalidateReachCache();
+  if (node < kDenseIdLimit) {
+    if (node >= positions_.size()) {
+      positions_.resize(node + 1);
+    }
+    positions_[node] = position;
+  } else {
+    sparse_positions_[node] = position;
+  }
+  TopologyChanged();
 }
 
 void DiskPropagation::SetLinkQuality(NodeId from, NodeId to, LinkQuality quality) {
   link_quality_[MakeKey(from, to)] = quality;
   blocked_.erase(MakeKey(from, to));
-  InvalidateReachCache();
+  TopologyChanged();
 }
 
 void DiskPropagation::BlockLink(NodeId from, NodeId to) {
   blocked_[MakeKey(from, to)] = true;
   link_quality_.erase(MakeKey(from, to));
-  InvalidateReachCache();
+  TopologyChanged();
 }
 
 const Position* DiskPropagation::GetPosition(NodeId node) const {
-  auto it = positions_.find(node);
-  return it != positions_.end() ? &it->second : nullptr;
+  if (node < positions_.size()) {
+    return positions_[node] ? &*positions_[node] : nullptr;
+  }
+  auto it = sparse_positions_.find(node);
+  return it != sparse_positions_.end() ? &it->second : nullptr;
 }
 
 std::vector<NodeId> DiskPropagation::LinkOverrideTargets(NodeId from) const {
@@ -54,68 +64,40 @@ std::vector<NodeId> DiskPropagation::LinkOverrideTargets(NodeId from) const {
   return targets;
 }
 
-bool DiskPropagation::Reaches(NodeId from, NodeId to) const {
-  if (from == to) {
+bool DiskPropagation::InRange(NodeId from, NodeId to) const {
+  const Position* a = GetPosition(from);
+  const Position* b = GetPosition(to);
+  if (a == nullptr || b == nullptr) {
     return false;
   }
-  if (reach_stride_ == 0) {
-    // (Re)size the memo to cover every id the tables mention. Stays empty
-    // (stride 1) until the first id shows up.
-    NodeId max_id = 0;
-    for (const auto& [node, position] : positions_) {
-      max_id = std::max(max_id, node);
-    }
-    for (const auto& [key, quality] : link_quality_) {
-      max_id = std::max({max_id, static_cast<NodeId>(key >> 32), static_cast<NodeId>(key)});
-    }
-    for (const auto& [key, blocked] : blocked_) {
-      max_id = std::max({max_id, static_cast<NodeId>(key >> 32), static_cast<NodeId>(key)});
-    }
-    reach_stride_ = std::min(max_id + 1, kReachCacheMaxNodes);
-    reach_cache_.assign(static_cast<size_t>(reach_stride_) * reach_stride_, -1);
-  }
-  if (from < reach_stride_ && to < reach_stride_) {
-    int8_t& slot = reach_cache_[static_cast<size_t>(from) * reach_stride_ + to];
-    if (slot < 0) {
-      slot = ReachesUncached(from, to) ? 1 : 0;
-    }
-    return slot != 0;
-  }
-  return ReachesUncached(from, to);
-}
-
-bool DiskPropagation::ReachesUncached(NodeId from, NodeId to) const {
-  if (blocked_.contains(MakeKey(from, to))) {
-    return false;
-  }
-  if (link_quality_.contains(MakeKey(from, to))) {
-    return true;
-  }
-  auto from_it = positions_.find(from);
-  auto to_it = positions_.find(to);
-  if (from_it == positions_.end() || to_it == positions_.end()) {
-    return false;
-  }
-  const double distance = Distance(from_it->second, to_it->second);
-  if (from_it->second.floor != to_it->second.floor) {
+  const double distance = Distance(*a, *b);
+  if (a->floor != b->floor) {
     return inter_floor_range_ > 0.0 && distance <= inter_floor_range_;
   }
   return distance <= range_;
 }
 
+bool DiskPropagation::Reaches(NodeId from, NodeId to) const {
+  if (from == to || blocked_.contains(MakeKey(from, to))) {
+    return false;
+  }
+  return link_quality_.contains(MakeKey(from, to)) || InRange(from, to);
+}
+
 double DiskPropagation::DeliveryProbability(NodeId from, NodeId to, SimTime now) const {
-  if (!Reaches(from, to)) {
+  if (from == to || blocked_.contains(MakeKey(from, to))) {
     return 0.0;
   }
   auto it = link_quality_.find(MakeKey(from, to));
   if (it != link_quality_.end()) {
     return EvaluateLinkQuality(it->second, now);
   }
-  return default_delivery_probability_;
+  return InRange(from, to) ? default_delivery_probability_ : 0.0;
 }
 
 void ExplicitTopology::AddLink(NodeId from, NodeId to, LinkQuality quality) {
   links_[{from, to}] = quality;
+  TopologyChanged();
 }
 
 void ExplicitTopology::AddSymmetricLink(NodeId a, NodeId b, LinkQuality quality) {
@@ -123,7 +105,10 @@ void ExplicitTopology::AddSymmetricLink(NodeId a, NodeId b, LinkQuality quality)
   AddLink(b, a, quality);
 }
 
-void ExplicitTopology::RemoveLink(NodeId from, NodeId to) { links_.erase({from, to}); }
+void ExplicitTopology::RemoveLink(NodeId from, NodeId to) {
+  links_.erase({from, to});
+  TopologyChanged();
+}
 
 bool ExplicitTopology::Reaches(NodeId from, NodeId to) const {
   return from != to && links_.contains({from, to});

@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -31,6 +32,23 @@ class PropagationModel {
   // Probability that a single frame from `from` decodes at `to` at `now`,
   // given no collision. Zero when !Reaches(from, to).
   virtual double DeliveryProbability(NodeId from, NodeId to, SimTime now) const = 0;
+
+  // Reachability generation. While it is unchanged, Reaches() answers every
+  // pair the same way, so callers may cache it (Channel's per-sender receiver
+  // lists do). Every mutator that can change some Reaches() answer must move
+  // it, never back to an earlier value. DeliveryProbability() is not covered
+  // and may change freely (intermittent links, degradations). The default,
+  // 0 forever, declares a static topology; a forwarding decorator that does
+  // not override this reports the same, so it may only wrap a model whose
+  // mutations are all done before a Channel takes it.
+  virtual uint64_t topology_version() const { return topology_version_; }
+
+ protected:
+  // Called by mutators that may change Reaches().
+  void TopologyChanged() { ++topology_version_; }
+
+ private:
+  uint64_t topology_version_ = 0;
 };
 
 // Per-directed-link quality override.
@@ -61,7 +79,7 @@ class DiskPropagation : public PropagationModel {
   // unless explicitly overridden.
   void set_inter_floor_range(double range) {
     inter_floor_range_ = range;
-    InvalidateReachCache();
+    TopologyChanged();
   }
 
   bool Reaches(NodeId from, NodeId to) const override;
@@ -87,27 +105,19 @@ class DiskPropagation : public PropagationModel {
     return (static_cast<uint64_t>(from) << 32) | to;
   }
 
-  // Reachability is pure geometry plus the static override tables, so the
-  // answer for a pair never changes between topology mutations. The hot path
-  // (one Reaches per endpoint per transmission, plus carrier sense) reads a
-  // dense stride x stride byte matrix instead of chasing three hash tables
-  // and a sqrt. Any mutator clears the cache; ids >= kReachCacheMaxNodes
-  // (huge synthetic topologies) fall through to the uncached computation.
-  static constexpr NodeId kReachCacheMaxNodes = 1024;
-  bool ReachesUncached(NodeId from, NodeId to) const;
-  void InvalidateReachCache() {
-    reach_cache_.clear();
-    reach_stride_ = 0;
-  }
+  // Positions live in a vector indexed by id, so a distance check is two
+  // array loads. Ids at or above kDenseIdLimit (sparse synthetic ids) go to a
+  // hash map instead, so one huge id cannot allocate an id-sized table.
+  static constexpr NodeId kDenseIdLimit = 1 << 16;
+  bool InRange(NodeId from, NodeId to) const;
 
   double range_;
   double inter_floor_range_ = 0.0;
   double default_delivery_probability_;
-  std::unordered_map<NodeId, Position> positions_;
+  std::vector<std::optional<Position>> positions_;
+  std::unordered_map<NodeId, Position> sparse_positions_;
   std::unordered_map<LinkKey, LinkQuality> link_quality_;
   std::unordered_map<LinkKey, bool> blocked_;
-  mutable std::vector<int8_t> reach_cache_;  // -1 unknown, else 0/1
-  mutable NodeId reach_stride_ = 0;
 };
 
 // Explicit topology: only listed directed links exist. Useful for tests and

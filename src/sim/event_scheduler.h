@@ -49,6 +49,10 @@ class EventScheduler {
   // True when no runnable events remain.
   bool Empty() const { return root_ == nullptr; }
 
+  // Time of the earliest pending event, or kMaxSimTime when none is
+  // pending. Exact: Cancel unlinks eagerly, so the root is always live.
+  SimTime next_time() const { return root_ != nullptr ? root_->when : kMaxSimTime; }
+
   // Runs the next event, advancing the clock. Returns false if none remain.
   bool RunOne();
 

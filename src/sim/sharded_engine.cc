@@ -159,9 +159,31 @@ void ShardedEngine::MergeTraces() {
   }
 }
 
+SimTime ShardedEngine::NextEventTime() const {
+  SimTime next = kMaxSimTime;
+  for (const auto& sim : sims_) {
+    next = std::min(next, sim->scheduler().next_time());
+  }
+  return next;
+}
+
 uint64_t ShardedEngine::RunUntil(SimTime end) {
   uint64_t before = events_executed();
   while (cursor_ <= end) {
+    // Jump over windows in which no region has an event: nothing would run,
+    // post to a mailbox or trace there. Windows stay on the cursor_ + k·L
+    // grid, so the windows that do run are the same ones an engine without
+    // the skip runs. Comparing against the trimmed bound keeps one
+    // RunUntil(end) and window-by-window calls in agreement on the final
+    // window.
+    const SimTime next = NextEventTime();
+    if (next >= std::min<SimTime>(cursor_ + window_, end + 1)) {
+      if (next > end) {
+        cursor_ = end + 1;
+        break;
+      }
+      cursor_ += (next - cursor_) / window_ * window_;
+    }
     // Half-open window [cursor, bound): RunUntil is inclusive, so regions
     // advance to bound-1. The final window is trimmed to end inclusive.
     const SimTime bound = std::min<SimTime>(cursor_ + window_, end + 1);
@@ -174,6 +196,12 @@ uint64_t ShardedEngine::RunUntil(SimTime end) {
     MergeTraces();
     ++windows_run_;
     cursor_ = bound;
+  }
+  // After an idle tail the region clocks still read the last window run;
+  // move them to `end` (no region has an event at or before it), so now()
+  // reads `end` exactly as it would had every window run.
+  for (const auto& sim : sims_) {
+    sim->RunUntil(end);
   }
   return events_executed() - before;
 }

@@ -97,13 +97,19 @@ class ShardedEngine {
 
   // Advances every region to `end` inclusive (the Simulator::RunUntil
   // convention) in conservative windows, draining the coupler and merging
-  // traces at each barrier. Returns events executed across all regions
-  // during this call. Subsequent calls continue from where the last ended.
+  // traces at each barrier. Windows in which no region has an event are
+  // skipped without a barrier; the windows that run keep their grid, so
+  // output is the same as running every window. Returns events executed
+  // across all regions during this call. Subsequent calls continue from
+  // where the last ended, and every region's now() reads `end` afterwards.
   uint64_t RunUntil(SimTime end);
 
   // Events executed across all regions since construction.
   uint64_t events_executed() const;
 
+  // Windows run (barriers taken) since construction; skipped idle windows
+  // are not counted. The same for one RunUntil(end) as for window-by-window
+  // calls over the same span.
   uint64_t windows_run() const { return windows_run_; }
 
  private:
@@ -111,7 +117,8 @@ class ShardedEngine {
 
   void RunShare(unsigned tid, SimTime bound);
   void RunWindow(SimTime bound);
-  void MergeTraces();  // barrier thread only
+  void MergeTraces();             // barrier thread only
+  SimTime NextEventTime() const;  // earliest pending event, any region
   void WorkerLoop(unsigned tid);
 
   const SimDuration window_;

@@ -135,7 +135,9 @@ Fig8Result RunFig8Sharded(const Fig8Params& params) {
   for (int region = 0; region < world.engine().regions(); ++region) {
     result.pool_slots_grown += PoolSlotsGrown(world.engine().region_sim(region));
   }
-  result.receptions_attempted = world.TotalChannelStats().receptions_attempted;
+  const ChannelStats channel_stats = world.TotalChannelStats();
+  result.receptions_attempted = channel_stats.receptions_attempted;
+  result.receivers_scanned = channel_stats.receivers_scanned;
   result.diffusion_bytes = TotalDiffusionBytes(world.nodes()) - bytes_at_warmup;
   result.distinct_events = sink.distinct_events() - events_at_warmup;
   result.possible_events = PossibleEvents(source_start, sconfig.event_interval, params.warmup,
@@ -258,6 +260,7 @@ Fig8Result RunFig8(const Fig8Params& params) {
   result.events_executed = events_executed;
   result.pool_slots_grown = PoolSlotsGrown(sim);
   result.receptions_attempted = channel.stats().receptions_attempted;
+  result.receivers_scanned = channel.stats().receivers_scanned;
   result.diffusion_bytes = TotalDiffusionBytes(nodes) - bytes_at_warmup;
   result.distinct_events = sink.distinct_events() - events_at_warmup;
   result.possible_events = PossibleEvents(source_start, sconfig.event_interval, params.warmup,

@@ -88,6 +88,7 @@ struct Fig8Result {
   // on the sharded core.
   uint64_t pool_slots_grown = 0;      // SlotPool acquires that found no free slot
   uint64_t receptions_attempted = 0;  // (transmission, reachable receiver) pairs
+  uint64_t receivers_scanned = 0;     // receiver-list entries visited per frame
 };
 
 Fig8Result RunFig8(const Fig8Params& params);

@@ -51,6 +51,7 @@ ChannelStats ShardedWorld::TotalChannelStats() const {
     total.collisions += stats.collisions;
     total.propagation_losses += stats.propagation_losses;
     total.deliveries += stats.deliveries;
+    total.receivers_scanned += stats.receivers_scanned;
   }
   return total;
 }

@@ -22,6 +22,9 @@ constexpr SimDuration kMillisecond = 1000 * kMicrosecond;
 constexpr SimDuration kSecond = 1000 * kMillisecond;
 constexpr SimDuration kMinute = 60 * kSecond;
 
+// Later than any reachable simulated time ("never").
+constexpr SimTime kMaxSimTime = INT64_MAX;
+
 // Converts a duration expressed in (possibly fractional) seconds to SimDuration.
 constexpr SimDuration SecondsToDuration(double seconds) {
   return static_cast<SimDuration>(seconds * static_cast<double>(kSecond));

@@ -64,18 +64,30 @@ TEST(Fig8ExperimentTest, DeliveryInOperationalRange) {
 }
 
 TEST(Fig9ExperimentTest, NestedBeatsFlatWithFourSensors) {
+  // Judged over a fixed seed set, not one seed: which query wins a single
+  // 10-minute run depends on how that seed's packet fates fall.
   Fig9Params params;
   params.lights = 4;
   params.duration = 10 * kMinute;
-  params.seed = 23;
-  params.mode = QueryMode::kNested;
-  const Fig9Result nested = RunFig9(params);
-  params.mode = QueryMode::kFlat;
-  const Fig9Result flat = RunFig9(params);
-  EXPECT_GE(nested.delivered_fraction, flat.delivered_fraction);
+  double nested_delivered = 0.0;
+  double flat_delivered = 0.0;
+  uint64_t nested_bytes = 0;
+  uint64_t flat_bytes = 0;
+  for (uint64_t seed = 1; seed <= 10; ++seed) {
+    params.seed = seed;
+    params.mode = QueryMode::kNested;
+    const Fig9Result nested = RunFig9(params);
+    params.mode = QueryMode::kFlat;
+    const Fig9Result flat = RunFig9(params);
+    nested_delivered += nested.delivered_fraction;
+    flat_delivered += flat.delivered_fraction;
+    nested_bytes += nested.diffusion_bytes;
+    flat_bytes += flat.diffusion_bytes;
+  }
+  EXPECT_GT(nested_delivered, flat_delivered);
   // "This experiment sharply contrasts the bandwidth requirements": the flat
   // query hauls light reports across the whole network.
-  EXPECT_GT(flat.diffusion_bytes, nested.diffusion_bytes * 12 / 10);
+  EXPECT_GT(flat_bytes, nested_bytes * 12 / 10);
 }
 
 TEST(Fig9ExperimentTest, DeliveryFallsAsSensorsAreAdded) {

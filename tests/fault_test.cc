@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "src/core/node.h"
 #include "src/fault/fault_injector.h"
@@ -14,11 +16,13 @@
 #include "src/naming/keys.h"
 #include "src/naming/matching.h"
 #include "src/testbed/topology.h"
+#include "src/util/rng.h"
 #include "tests/test_util.h"
 
 namespace diffusion {
 namespace {
 
+using testing_support::ExpectReceiverListsTrackChanges;
 using testing_support::FastRadio;
 using testing_support::MakeCliqueChannel;
 using testing_support::MakeLineChannel;
@@ -219,6 +223,58 @@ TEST(FaultTest, OverlaySeversDegradesAndHeals) {
   overlay.Heal();
   EXPECT_TRUE(overlay.Reaches(20, 17));
   EXPECT_DOUBLE_EQ(overlay.DeliveryProbability(20, 17, 0), 0.9);
+}
+
+// A channel over the fault overlay keeps each receiver list equal to a
+// brute-force scan through blackouts, restores, partitions, heals and
+// degradations, through changes to the inner model underneath the overlay
+// (its version shows through), and through Attach/Detach.
+TEST(FaultTest, ReceiverListsFollowOverlayFaults) {
+  constexpr NodeId kNodes = 24;
+  Simulator sim(4);
+  auto disk_owned = std::make_unique<DiskPropagation>(15.0);
+  DiskPropagation* disk = disk_owned.get();
+  Rng rng(2024);
+  for (NodeId id = 1; id <= kNodes; ++id) {
+    disk->SetPosition(id, {rng.NextDoubleIn(0, 40), rng.NextDoubleIn(0, 40), 0});
+  }
+  auto overlay_owned = std::make_unique<FaultOverlayPropagation>(std::move(disk_owned));
+  FaultOverlayPropagation* overlay = overlay_owned.get();
+  Channel channel(&sim, std::move(overlay_owned));
+  ExpectReceiverListsTrackChanges(&channel, *overlay, kNodes, 300, &rng, [&](NodeId a, NodeId b) {
+    switch (rng.NextInt(0, 7)) {
+      case 0:
+      case 1:
+        overlay->BlackoutLink(a, b);
+        break;
+      case 2:
+        overlay->RestoreLink(a, b);
+        break;
+      case 3: {
+        std::vector<NodeId> side_a;
+        std::vector<NodeId> side_b;
+        for (NodeId id = 1; id <= kNodes; ++id) {
+          if (rng.NextBool(0.4)) {
+            (rng.NextBool(0.5) ? side_a : side_b).push_back(id);
+          }
+        }
+        overlay->Partition(side_a, side_b);
+        break;
+      }
+      case 4:
+        overlay->Heal();
+        break;
+      case 5:
+        overlay->DegradeLink(a, b, 0.5);
+        break;
+      case 6:
+        disk->SetPosition(a, {rng.NextDoubleIn(0, 40), rng.NextDoubleIn(0, 40), 0});
+        break;
+      default:
+        disk->BlockLink(a, b);
+        break;
+    }
+  });
 }
 
 // Per-endpoint channel counters survive a Detach/Attach cycle (the fix this

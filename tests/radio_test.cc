@@ -12,11 +12,14 @@
 #include "src/radio/propagation.h"
 #include "src/radio/radio.h"
 #include "src/sim/simulator.h"
+#include "src/trace/trace.h"
+#include "src/util/rng.h"
 #include "tests/test_util.h"
 
 namespace diffusion {
 namespace {
 
+using testing_support::ExpectReceiverListsTrackChanges;
 using testing_support::FastRadio;
 using testing_support::MakeCliqueChannel;
 using testing_support::MakeLineChannel;
@@ -473,6 +476,136 @@ TEST(ChannelTest, DetachedReceiverStopsMidFlightCleanly) {
   EXPECT_EQ(channel->stats().collisions, 0u);
   EXPECT_EQ(channel->stats().propagation_losses, 0u);
   EXPECT_EQ(channel->stats().deliveries, 0u);
+}
+
+// Fingerprint and per-node counters of one lossy, colliding 5x5 grid run.
+struct AttachOrderDigest {
+  uint64_t fingerprint = 0;
+  uint64_t trace_events = 0;
+  std::vector<std::vector<uint64_t>> node_stats;  // per id: the ChannelStats fields
+
+  bool operator==(const AttachOrderDigest& other) const {
+    return fingerprint == other.fingerprint && trace_events == other.trace_events &&
+           node_stats == other.node_stats;
+  }
+};
+
+// Radios are constructed in ascending id order (so every MAC forks the same
+// RNG stream) and then re-attached in `attach_order`; node 13 crashes and
+// comes back mid-run the way FaultInjector does it (kill + detach, attach +
+// revive).
+AttachOrderDigest RunGridAttachedInOrder(const std::vector<NodeId>& attach_order) {
+  constexpr NodeId kNodes = 25;
+  Simulator sim(41);
+  FingerprintTraceSink trace;
+  sim.set_trace_sink(&trace);
+  // Range 15 at spacing 10: eight neighbours, lossy links, plenty of overlap.
+  auto disk = std::make_unique<DiskPropagation>(15.0, 0.8);
+  for (NodeId id = 1; id <= kNodes; ++id) {
+    disk->SetPosition(id, {10.0 * ((id - 1) % 5), 10.0 * ((id - 1) / 5), 0});
+  }
+  Channel channel(&sim, std::move(disk));
+  std::vector<std::unique_ptr<Radio>> radios;
+  for (NodeId id = 1; id <= kNodes; ++id) {
+    radios.push_back(std::make_unique<Radio>(&sim, &channel, id, FastRadio()));
+  }
+  for (NodeId id = 1; id <= kNodes; ++id) {
+    channel.Detach(id);
+  }
+  for (NodeId id : attach_order) {
+    channel.Attach(radios[id - 1].get());
+  }
+  for (NodeId id = 1; id <= kNodes; ++id) {
+    for (int k = 0; k < 4; ++k) {
+      Radio* radio = radios[id - 1].get();
+      sim.At(k * 3 * kMillisecond + (id % 3) * 50, [radio, k] {
+        radio->SendMessage(kBroadcastId, std::vector<uint8_t>(40, static_cast<uint8_t>(k)));
+      });
+    }
+  }
+  Radio* node13 = radios[12].get();
+  sim.At(4 * kMillisecond, [&channel, node13] {
+    node13->Kill();
+    channel.Detach(13);
+  });
+  sim.At(6 * kMillisecond, [&channel, node13] {
+    channel.Attach(node13);
+    node13->Revive();
+  });
+  sim.RunUntil(kSecond);
+
+  AttachOrderDigest digest;
+  digest.fingerprint = trace.fingerprint();
+  digest.trace_events = trace.count();
+  for (NodeId id = 1; id <= kNodes; ++id) {
+    const ChannelStats stats = channel.NodeStats(id);
+    digest.node_stats.push_back({stats.transmissions, stats.receptions_attempted,
+                                 stats.collisions, stats.propagation_losses, stats.deliveries});
+  }
+  return digest;
+}
+
+// Receivers resolve in ascending id order, so the per-reception RNG draws —
+// and with them every packet fate — do not depend on the order endpoints
+// attached in (which used to leak in through hash-map iteration order).
+TEST(ChannelTest, ReceptionOrderIsIndependentOfAttachOrder) {
+  std::vector<NodeId> ascending;
+  for (NodeId id = 1; id <= 25; ++id) {
+    ascending.push_back(id);
+  }
+  const std::vector<NodeId> descending(ascending.rbegin(), ascending.rend());
+  std::vector<NodeId> shuffled = ascending;
+  Rng rng(7);
+  for (size_t i = shuffled.size() - 1; i > 0; --i) {
+    std::swap(shuffled[i], shuffled[static_cast<size_t>(rng.NextInt(0, static_cast<int64_t>(i)))]);
+  }
+
+  const AttachOrderDigest up = RunGridAttachedInOrder(ascending);
+  EXPECT_GT(up.trace_events, 100u);
+  uint64_t collisions = 0;
+  uint64_t losses = 0;
+  for (const auto& stats : up.node_stats) {
+    collisions += stats[2];
+    losses += stats[3];
+  }
+  EXPECT_GT(collisions, 0u);  // the run exercises both loss paths
+  EXPECT_GT(losses, 0u);
+  EXPECT_TRUE(up == RunGridAttachedInOrder(descending));
+  EXPECT_TRUE(up == RunGridAttachedInOrder(shuffled));
+}
+
+// Each receiver list equals a brute-force scan (Reaches over every attached
+// endpoint, sorted) after every kind of topology or attachment change.
+TEST(ChannelTest, ReceiverListsMatchBruteForceUnderTopologyChanges) {
+  constexpr NodeId kNodes = 30;
+  Simulator sim(5);
+  auto owned = std::make_unique<DiskPropagation>(12.0);
+  DiskPropagation* disk = owned.get();
+  Rng rng(99);
+  auto random_position = [&rng] {
+    return Position{rng.NextDoubleIn(0, 40), rng.NextDoubleIn(0, 40),
+                    static_cast<int>(rng.NextInt(0, 1))};
+  };
+  for (NodeId id = 1; id <= kNodes; ++id) {
+    disk->SetPosition(id, random_position());
+  }
+  Channel channel(&sim, std::move(owned));
+  ExpectReceiverListsTrackChanges(&channel, *disk, kNodes, 300, &rng, [&](NodeId a, NodeId b) {
+    switch (rng.NextInt(0, 3)) {
+      case 0:
+        disk->SetPosition(a, random_position());
+        break;
+      case 1:
+        disk->BlockLink(a, b);
+        break;
+      case 2:
+        disk->SetLinkQuality(a, b, LinkQuality{.delivery_probability = 0.5});
+        break;
+      default:
+        disk->set_inter_floor_range(rng.NextBool(0.5) ? 0.0 : 20.0);
+        break;
+    }
+  });
 }
 
 TEST(MacTest, QueueOverflowDrops) {

@@ -3,12 +3,16 @@
 #ifndef TESTS_TEST_UTIL_H_
 #define TESTS_TEST_UTIL_H_
 
+#include <functional>
 #include <memory>
 #include <vector>
+
+#include <gtest/gtest.h>
 
 #include "src/radio/channel.h"
 #include "src/radio/propagation.h"
 #include "src/sim/simulator.h"
+#include "src/util/rng.h"
 
 namespace diffusion {
 namespace testing_support {
@@ -49,6 +53,62 @@ inline RadioConfig FastRadio() {
   config.mac.interframe_spacing = 100;  // 100 µs
   config.mac.initial_jitter = 200;
   return config;
+}
+
+// Bare endpoint that is always alive and never transmitting, for channel
+// bookkeeping tests that attach and detach ids directly.
+class IdleEndpoint : public ChannelEndpoint {
+ public:
+  explicit IdleEndpoint(NodeId id) : id_(id) {}
+  NodeId node_id() const override { return id_; }
+  bool IsAlive() const override { return true; }
+  bool IsTransmitting() const override { return false; }
+  void OnFrameDelivered(const Fragment&, SimDuration) override {}
+
+ private:
+  NodeId id_;
+};
+
+// Attaches idle endpoints for ids 1..count to `channel`, then makes `steps`
+// random changes — a third of them an Attach or Detach of a random id, the
+// rest `mutate_topology(a, b)` with random ids — and before each change
+// requires every sender's receiver list (attached or not: a remote sender's
+// frames resolve through the same lists) to equal a brute-force scan:
+// every attached id other than the sender that `propagation` says the
+// sender reaches, ascending.
+inline void ExpectReceiverListsTrackChanges(
+    Channel* channel, const PropagationModel& propagation, NodeId count, int steps, Rng* rng,
+    const std::function<void(NodeId, NodeId)>& mutate_topology) {
+  std::vector<std::unique_ptr<IdleEndpoint>> endpoints;
+  std::vector<bool> attached(count + 1, true);
+  for (NodeId id = 1; id <= count; ++id) {
+    endpoints.push_back(std::make_unique<IdleEndpoint>(id));
+    channel->Attach(endpoints.back().get());
+  }
+  for (int step = 0; step < steps; ++step) {
+    for (NodeId sender = 1; sender <= count; ++sender) {
+      std::vector<NodeId> expected;
+      for (NodeId node = 1; node <= count; ++node) {
+        if (attached[node] && node != sender && propagation.Reaches(sender, node)) {
+          expected.push_back(node);
+        }
+      }
+      ASSERT_EQ(channel->ReceiverIds(sender), expected)
+          << "step " << step << ", sender " << sender;
+    }
+    const NodeId a = static_cast<NodeId>(rng->NextInt(1, count));
+    const NodeId b = static_cast<NodeId>(rng->NextInt(1, count));
+    if (rng->NextInt(0, 2) == 0) {
+      if (attached[a]) {
+        channel->Detach(a);
+      } else {
+        channel->Attach(endpoints[a - 1].get());
+      }
+      attached[a] = !attached[a];
+    } else {
+      mutate_topology(a, b);
+    }
+  }
 }
 
 }  // namespace testing_support
