@@ -94,10 +94,16 @@ bool Fail(std::string* error, const std::string& message) {
 
 }  // namespace
 
-std::string FormatBenchValue(double value) {
-  // Round-trippable without scientific noise for the magnitudes benches emit.
+std::string FormatBenchValue(const BenchResult& result) {
+  const bool whole_unit =
+      result.unit == "count" || result.unit == "bytes" || result.unit == "hash53";
+  const double value = result.value;
   char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", value);
+  if (whole_unit && value == std::floor(value) && std::fabs(value) < 0x1p53) {
+    std::snprintf(buf, sizeof(buf), "%.0f", value);
+  } else {
+    std::snprintf(buf, sizeof(buf), "%.6g", value);
+  }
   return buf;
 }
 
@@ -109,7 +115,7 @@ std::string BenchJson(const std::string& bench_name, const std::vector<BenchResu
   out << "  \"results\": [\n";
   for (size_t i = 0; i < results.size(); ++i) {
     out << "    {\"name\": \"" << EscapeJson(results[i].name) << "\", \"unit\": \""
-        << EscapeJson(results[i].unit) << "\", \"value\": " << FormatBenchValue(results[i].value)
+        << EscapeJson(results[i].unit) << "\", \"value\": " << FormatBenchValue(results[i])
         << "}" << (i + 1 < results.size() ? "," : "") << "\n";
   }
   out << "  ]\n";
@@ -202,6 +208,25 @@ const BenchResult* FindBenchResult(const std::vector<BenchResult>& results,
     }
   }
   return nullptr;
+}
+
+int CountMismatchedRows(const std::string& path, const std::vector<BenchResult>& recorded,
+                        const std::vector<BenchResult>& fresh) {
+  int mismatches = 0;
+  for (const BenchResult& row : fresh) {
+    const BenchResult* want = FindBenchResult(recorded, row.name);
+    const std::string got = FormatBenchValue(row);
+    if (want == nullptr) {
+      std::fprintf(stderr, "FAIL: %s has no %s row (this run: %s)\n", path.c_str(),
+                   row.name.c_str(), got.c_str());
+      ++mismatches;
+    } else if (FormatBenchValue(*want) != got) {
+      std::fprintf(stderr, "FAIL: %s = %s, recorded %s\n", row.name.c_str(), got.c_str(),
+                   FormatBenchValue(*want).c_str());
+      ++mismatches;
+    }
+  }
+  return mismatches;
 }
 
 }  // namespace bench

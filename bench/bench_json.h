@@ -33,9 +33,12 @@ struct BenchResult {
   double value = 0.0;
 };
 
-// A result value exactly as the JSON document records it (six significant
-// digits). Two values match a recorded file iff their renderings are equal.
-std::string FormatBenchValue(double value);
+// A result value exactly as the JSON document records it: rows in a
+// whole-number unit (count, bytes, hash53) as exact integers — every such
+// value is below 2^53, so the double holds it exactly — and all others to
+// six significant digits. Two results match a recorded file iff their
+// renderings are equal.
+std::string FormatBenchValue(const BenchResult& result);
 
 // Renders the schema'd JSON document (two-space indent, trailing newline).
 std::string BenchJson(const std::string& bench_name, const std::vector<BenchResult>& results);
@@ -56,6 +59,13 @@ bool ValidateBenchJson(const std::string& path, std::string* error,
 // The first entry named `name`, or null.
 const BenchResult* FindBenchResult(const std::vector<BenchResult>& results,
                                    const std::string& name);
+
+// The deterministic-section gate of the benches' --check: compares each row
+// of `fresh` with the same-named row of `recorded` (read from `path`) by
+// rendering, prints one FAIL line per missing or differing row, and returns
+// how many there were.
+int CountMismatchedRows(const std::string& path, const std::vector<BenchResult>& recorded,
+                        const std::vector<BenchResult>& fresh);
 
 }  // namespace bench
 }  // namespace diffusion

@@ -48,7 +48,7 @@ namespace {
 Fig8Params BaseParams(uint64_t seed, SimDuration duration) {
   Fig8Params params;
   params.sources = 4;
-  params.suppression = true;
+  params.strategy = AggregationStrategy::kSuppression;
   params.duration = duration;
   params.warmup = 60 * kSecond;
   params.seed = seed;
@@ -127,21 +127,7 @@ int Check(const std::string& path, uint64_t base_seed, unsigned jobs) {
   }
   const std::vector<bench::BenchResult> fresh = DeterministicSection(
       static_cast<int>(runs->value), static_cast<int>(minutes->value), base_seed, jobs);
-  int mismatches = 0;
-  for (const bench::BenchResult& row : fresh) {
-    const bench::BenchResult* want = bench::FindBenchResult(recorded, row.name);
-    const std::string got = bench::FormatBenchValue(row.value);
-    if (want == nullptr) {
-      std::fprintf(stderr, "FAIL: %s has no %s row (this run: %s)\n", path.c_str(),
-                   row.name.c_str(), got.c_str());
-      ++mismatches;
-    } else if (bench::FormatBenchValue(want->value) != got) {
-      std::fprintf(stderr, "FAIL: %s = %s, recorded %s\n", row.name.c_str(), got.c_str(),
-                   bench::FormatBenchValue(want->value).c_str());
-      ++mismatches;
-    }
-  }
-  if (mismatches > 0) {
+  if (bench::CountMismatchedRows(path, recorded, fresh) > 0) {
     return 1;
   }
   std::printf("%s: valid %s file; %zu deterministic rows reproduced\n", path.c_str(),

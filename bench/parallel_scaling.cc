@@ -13,18 +13,25 @@
 //    run per thread count must agree, as must event and byte totals of the
 //    timed runs), and scripts/check.sh additionally cmp-gates
 //    --deterministic-only output across --threads values.
-//  * The timing section (events_per_sec_t*, parallel_speedup_4t) varies run
-//    to run like every wall-clock metric.
+//  * --check reruns the deterministic section (a 10k-node traced run of
+//    traced_sim_seconds) and fails unless every deterministic row equals the
+//    recorded value.
+//  * The timing section (sim_seconds of the timed runs, events_per_sec_t*,
+//    parallel_speedup_4t) varies run to run like every wall-clock metric.
 //
 // Emits BENCH_parallel.json ("diffusion-bench-v1" schema). Flags:
 //   --out=PATH            where to write the JSON (default BENCH_parallel.json)
-//   --check=PATH          validate an existing file against the schema; no run
+//   --check=PATH          validate PATH against the schema, rerun the
+//                         deterministic section at its recorded side, regions
+//                         and traced-run length and compare every
+//                         deterministic row; writes nothing
 //   --side=N              grid side (default 100 -> 10,000 nodes)
 //   --regions=N           target region count (default 16)
 //   --seconds=N           simulated seconds per timed run (default 30)
 //   --fp-seconds=N        simulated seconds per traced fingerprint run
 //                         (default 10)
-//   --threads=N           with --deterministic-only: the thread count to run
+//   --threads=N           with --deterministic-only or --check: the thread
+//                         count of the traced run (default 1)
 //   --deterministic-only  one traced run; emit only deterministic metrics
 //                         (the cross-thread cmp gate), no timing
 //   --require-speedup=X   exit non-zero unless parallel_speedup_4t reaches X.
@@ -34,6 +41,7 @@
 //                         way against the recorded threads_available.
 
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -148,56 +156,109 @@ RunOutput RunWorld(int side, int regions, unsigned threads, uint64_t seed, int s
   return output;
 }
 
-// Per-region clamp counters (bridge.deliveries_clamped.r<N> in the metrics
-// registry). Deterministic: clamping depends only on window geometry, so these
-// belong in the cmp-gated deterministic section alongside the total.
-void AppendPerRegionClamps(const RunOutput& run, std::vector<bench::BenchResult>* results) {
+// The deterministic section: a pure function of (seed, side, regions,
+// traced-run length), identical at every thread count. --deterministic-only
+// emits exactly these rows, a full run records them ahead of its timing rows,
+// and --check reruns them. The per-region clamp counters
+// (bridge.deliveries_clamped.r<N> in the metrics registry) belong here too:
+// clamping depends only on window geometry.
+std::vector<bench::BenchResult> DeterministicRows(int side, int traced_seconds,
+                                                  const RunOutput& run) {
+  std::vector<bench::BenchResult> results = {
+      {"nodes", "count", static_cast<double>(side * side)},
+      {"regions", "count", static_cast<double>(run.regions)},
+      {"window_us", "us", static_cast<double>(run.window / kMicrosecond)},
+      {"traced_sim_seconds", "s", static_cast<double>(traced_seconds)},
+      {"events_executed", "count", static_cast<double>(run.events_executed)},
+      {"diffusion_bytes", "bytes", static_cast<double>(run.diffusion_bytes)},
+      {"border_frames", "count", static_cast<double>(run.border_frames)},
+      {"deliveries_clamped", "count", static_cast<double>(run.deliveries_clamped)},
+      {"receivers_scanned", "count", static_cast<double>(run.receivers_scanned)},
+      {"windows_run", "count", static_cast<double>(run.windows_run)},
+      {"trace_fingerprint", "hash53", static_cast<double>(run.fingerprint)},
+      {"trace_events", "count", static_cast<double>(run.trace_events)},
+  };
   for (size_t r = 0; r < run.clamped_by_region.size(); ++r) {
-    results->push_back({"deliveries_clamped_r" + std::to_string(r), "count",
-                        static_cast<double>(run.clamped_by_region[r])});
+    results.push_back({"deliveries_clamped_r" + std::to_string(r), "count",
+                       static_cast<double>(run.clamped_by_region[r])});
   }
+  return results;
+}
+
+// --require-speedup against a recorded file: the recorded
+// parallel_speedup_4t must reach `require` when the file was recorded on at
+// least 4 hardware threads.
+int CheckRecordedSpeedup(const std::string& path, const std::vector<bench::BenchResult>& recorded,
+                         double require) {
+  const bench::BenchResult* available = bench::FindBenchResult(recorded, "threads_available");
+  if (available == nullptr) {
+    std::fprintf(stderr, "FAIL: %s has no threads_available metric\n", path.c_str());
+    return 1;
+  }
+  if (available->value < 4.0) {
+    std::printf("SKIP: recorded on %d hardware threads; speedup not meaningful below 4\n",
+                static_cast<int>(available->value));
+    return 0;
+  }
+  const bench::BenchResult* speedup = bench::FindBenchResult(recorded, "parallel_speedup_4t");
+  if (speedup == nullptr) {
+    std::fprintf(stderr, "FAIL: %s has no parallel_speedup_4t metric\n", path.c_str());
+    return 1;
+  }
+  if (speedup->value < require) {
+    std::fprintf(stderr, "FAIL: recorded parallel_speedup_4t %.2fx below --require-speedup=%.1f\n",
+                 speedup->value, require);
+    return 1;
+  }
+  return 0;
+}
+
+// --check: schema, every deterministic row against a fresh traced run of
+// the recorded world, then the recorded speedup when --require-speedup asks.
+int Check(const std::string& path, double require, uint64_t seed, unsigned threads) {
+  std::string error;
+  std::vector<bench::BenchResult> recorded;
+  if (!bench::ValidateBenchJson(path, &error, &recorded)) {
+    std::fprintf(stderr, "FAIL: %s\n", error.c_str());
+    return 1;
+  }
+  const bench::BenchResult* nodes = bench::FindBenchResult(recorded, "nodes");
+  const bench::BenchResult* regions = bench::FindBenchResult(recorded, "regions");
+  const bench::BenchResult* seconds = bench::FindBenchResult(recorded, "traced_sim_seconds");
+  // Bounded so the int casts below stay defined on a hand-edited file.
+  auto in_range = [](const bench::BenchResult* row, double max) {
+    return row != nullptr && row->value >= 1 && row->value <= max;
+  };
+  if (!in_range(nodes, 1e6) || !in_range(regions, 1024) || !in_range(seconds, 3600)) {
+    std::fprintf(stderr,
+                 "FAIL: %s needs nodes in [1, 1e6], regions in [1, 1024] and "
+                 "traced_sim_seconds in [1, 3600]\n",
+                 path.c_str());
+    return 1;
+  }
+  const int side = static_cast<int>(std::lround(std::sqrt(nodes->value)));
+  if (static_cast<double>(side * side) != nodes->value) {
+    std::fprintf(stderr, "FAIL: %s: nodes is not a side x side grid\n", path.c_str());
+    return 1;
+  }
+  const int traced_seconds = static_cast<int>(seconds->value);
+  const RunOutput run = RunWorld(side, static_cast<int>(regions->value), threads, seed,
+                                 traced_seconds, /*traced=*/true);
+  const std::vector<bench::BenchResult> fresh = DeterministicRows(side, traced_seconds, run);
+  if (bench::CountMismatchedRows(path, recorded, fresh) > 0) {
+    return 1;
+  }
+  if (require > 0.0 && CheckRecordedSpeedup(path, recorded, require) != 0) {
+    return 1;
+  }
+  std::printf("%s: valid %s file; %zu deterministic rows reproduced\n", path.c_str(),
+              bench::kBenchJsonSchema, fresh.size());
+  return 0;
 }
 
 int Main(int argc, char** argv) {
   const double require = std::strtod(
       bench::StringFlag(argc, argv, "require-speedup", "0").c_str(), nullptr);
-  const std::string check = bench::StringFlag(argc, argv, "check");
-  if (!check.empty()) {
-    std::string error;
-    std::vector<bench::BenchResult> results;
-    if (!bench::ValidateBenchJson(check, &error, &results)) {
-      std::fprintf(stderr, "FAIL: %s\n", error.c_str());
-      return 1;
-    }
-    if (require > 0.0) {
-      const bench::BenchResult* available = bench::FindBenchResult(results, "threads_available");
-      if (available == nullptr) {
-        std::fprintf(stderr, "FAIL: %s has no threads_available metric\n", check.c_str());
-        return 1;
-      }
-      if (available->value < 4.0) {
-        std::printf("SKIP: recorded on %d hardware threads; speedup not meaningful below 4\n",
-                    static_cast<int>(available->value));
-      } else {
-        const bench::BenchResult* speedup =
-            bench::FindBenchResult(results, "parallel_speedup_4t");
-        if (speedup == nullptr) {
-          std::fprintf(stderr, "FAIL: %s has no parallel_speedup_4t metric\n", check.c_str());
-          return 1;
-        }
-        const double recorded = speedup->value;
-        if (recorded < require) {
-          std::fprintf(stderr,
-                       "FAIL: recorded parallel_speedup_4t %.2fx below --require-speedup=%.1f\n",
-                       recorded, require);
-          return 1;
-        }
-      }
-    }
-    std::printf("%s: valid %s file\n", check.c_str(), bench::kBenchJsonSchema);
-    return 0;
-  }
-
   const int side = static_cast<int>(bench::IntFlag(argc, argv, "side", 100));
   const int regions = static_cast<int>(bench::IntFlag(argc, argv, "regions", 16));
   const int seconds = static_cast<int>(bench::IntFlag(argc, argv, "seconds", 30));
@@ -206,12 +267,16 @@ int Main(int argc, char** argv) {
   const bool deterministic_only = bench::BoolFlag(argc, argv, "deterministic-only");
   const std::string out = bench::StringFlag(argc, argv, "out", "BENCH_parallel.json");
   const unsigned threads_available = std::thread::hardware_concurrency();
+  const unsigned threads = static_cast<unsigned>(bench::IntFlag(argc, argv, "threads", 1));
+  const std::string check = bench::StringFlag(argc, argv, "check");
+  if (!check.empty()) {
+    return Check(check, require, seed, threads);
+  }
 
   if (deterministic_only) {
-    // One traced run at the requested thread count; print and emit only
-    // metrics that are a pure function of (seed, side, regions, window) so
-    // outputs at different --threads values can be cmp'd byte for byte.
-    const unsigned threads = static_cast<unsigned>(bench::IntFlag(argc, argv, "threads", 1));
+    // One traced run at the requested thread count; print and emit only the
+    // deterministic section so outputs at different --threads values can be
+    // cmp'd byte for byte.
     const RunOutput run = RunWorld(side, regions, threads, seed, fp_seconds, /*traced=*/true);
     std::printf("nodes=%d regions=%d window_us=%lld events=%llu bytes=%llu border=%llu "
                 "clamped=%llu scanned=%llu windows=%llu fp=%llu trace_events=%llu "
@@ -226,21 +291,7 @@ int Main(int argc, char** argv) {
                 static_cast<unsigned long long>(run.fingerprint),
                 static_cast<unsigned long long>(run.trace_events), run.distinct_events);
     if (!out.empty()) {
-      std::vector<bench::BenchResult> results = {
-          {"nodes", "count", static_cast<double>(side * side)},
-          {"regions", "count", static_cast<double>(run.regions)},
-          {"window_us", "us", static_cast<double>(run.window / kMicrosecond)},
-          {"sim_seconds", "s", static_cast<double>(fp_seconds)},
-          {"events_executed", "count", static_cast<double>(run.events_executed)},
-          {"diffusion_bytes", "bytes", static_cast<double>(run.diffusion_bytes)},
-          {"border_frames", "count", static_cast<double>(run.border_frames)},
-          {"deliveries_clamped", "count", static_cast<double>(run.deliveries_clamped)},
-          {"receivers_scanned", "count", static_cast<double>(run.receivers_scanned)},
-          {"windows_run", "count", static_cast<double>(run.windows_run)},
-          {"trace_fingerprint", "hash53", static_cast<double>(run.fingerprint)},
-          {"trace_events", "count", static_cast<double>(run.trace_events)},
-      };
-      AppendPerRegionClamps(run, &results);
+      const std::vector<bench::BenchResult> results = DeterministicRows(side, fp_seconds, run);
       if (!bench::WriteBenchJson(out, "parallel_scaling", results)) {
         return 1;
       }
@@ -293,26 +344,17 @@ int Main(int argc, char** argv) {
   std::printf("%-28s  %16u\n", "hardware threads", threads_available);
 
   if (!out.empty()) {
-    std::vector<bench::BenchResult> results = {
-        {"nodes", "count", static_cast<double>(side * side)},
-        {"regions", "count", static_cast<double>(fp_runs[0].regions)},
-        {"window_us", "us", static_cast<double>(fp_runs[0].window / kMicrosecond)},
-        {"sim_seconds", "s", static_cast<double>(seconds)},
-        {"events_executed", "count", static_cast<double>(fp_runs[0].events_executed)},
-        {"diffusion_bytes", "bytes", static_cast<double>(fp_runs[0].diffusion_bytes)},
-        {"border_frames", "count", static_cast<double>(fp_runs[0].border_frames)},
-        {"deliveries_clamped", "count", static_cast<double>(fp_runs[0].deliveries_clamped)},
-        {"receivers_scanned", "count", static_cast<double>(fp_runs[0].receivers_scanned)},
-        {"windows_run", "count", static_cast<double>(fp_runs[0].windows_run)},
-        {"trace_fingerprint", "hash53", static_cast<double>(fp_runs[0].fingerprint)},
-        {"events_per_sec_t1", "events/s", events_per_sec[0]},
-        {"events_per_sec_t2", "events/s", events_per_sec[1]},
-        {"events_per_sec_t4", "events/s", events_per_sec[2]},
-        {"events_per_sec_t8", "events/s", events_per_sec[3]},
-        {"parallel_speedup_4t", "x", speedup_4t},
-        {"threads_available", "count", static_cast<double>(threads_available)},
-    };
-    AppendPerRegionClamps(fp_runs[0], &results);
+    std::vector<bench::BenchResult> results = DeterministicRows(side, fp_seconds, fp_runs[0]);
+    results.insert(results.end(),
+                   {
+                       {"sim_seconds", "s", static_cast<double>(seconds)},
+                       {"events_per_sec_t1", "events/s", events_per_sec[0]},
+                       {"events_per_sec_t2", "events/s", events_per_sec[1]},
+                       {"events_per_sec_t4", "events/s", events_per_sec[2]},
+                       {"events_per_sec_t8", "events/s", events_per_sec[3]},
+                       {"parallel_speedup_4t", "x", speedup_4t},
+                       {"threads_available", "count", static_cast<double>(threads_available)},
+                   });
     if (!bench::WriteBenchJson(out, "parallel_scaling", results)) {
       return 1;
     }

@@ -187,7 +187,8 @@ done
 cmp build/engine_j1.json build/engine_j8.json
 
 # Sharded-engine gates (docs/PERFORMANCE.md). The bench loop refreshed
-# BENCH_parallel.json; hold it to the schema and to the 4-thread speedup
+# BENCH_parallel.json; hold it to the schema, rerun its deterministic
+# section (every row must match), and hold it to the 4-thread speedup
 # ratchet (waived automatically when the file was recorded on fewer than 4
 # hardware threads — determinism is still enforced).
 ./build/bench/parallel_scaling --check=BENCH_parallel.json --require-speedup=2.0

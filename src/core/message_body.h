@@ -1,12 +1,12 @@
-// Pooled zero-copy message bodies.
+// Pooled message bodies.
 //
-// MessageBody adapts a diffusion Message to the radio layer's WireBody so
-// the transmit path can hand the structured message straight to the radio:
-// one pooled body per transmission, shared by every fragment and every
-// receiver, instead of serialize → copy-per-fragment → reassemble → parse
-// at each hop. The attribute set inside travels by copy-on-write, so the
-// "interned ids + cached hashes" the sender computed ride along to every
-// receiver instead of being recomputed from bytes per hop.
+// MessageBody is the WireBody (src/radio/wire_body.h) a DiffusionNode
+// sends: the structured Message itself, shared by every fragment and every
+// receiver, so no hop serializes or parses it. The attribute set inside
+// travels by copy-on-write, so the interned ids and cached hashes the
+// sender computed ride along to every receiver. AppendBytes gives the exact
+// encoding to receivers that parse bytes (e.g. a micro node on a shared
+// channel).
 //
 // Bodies are recycled through the Simulator's SlotPool: steady-state
 // forwarding allocates nothing (the CoW attribute Rep is shared, the body
@@ -35,8 +35,9 @@ class MessageBody final : public WireBody {
   }
 
   // The structured message. last_hop/next_hop are the *sender's* link
-  // context — receivers must overwrite them (see DiffusionNode's body
-  // receive path), exactly as Deserialize leaves them at defaults.
+  // context — receivers must overwrite them (see
+  // DiffusionNode::OnRadioReceive), exactly as Deserialize leaves them at
+  // defaults.
   const Message& message() const { return message_; }
 
   size_t wire_size() const override { return wire_size_; }

@@ -5,7 +5,7 @@ namespace diffusion {
 MicroNode::MicroNode(Simulator* sim, Channel* channel, NodeId id, RadioConfig config)
     : sim_(sim), id_(id), radio_(sim, channel, id, config) {
   radio_.SetReceiveCallback(
-      [this](NodeId from, const std::vector<uint8_t>& bytes) { OnRadioReceive(from, bytes); });
+      [this](NodeId from, const WireBody& body) { OnRadioReceive(from, body); });
   sim_->After(interest_refresh_, [this] { RefreshInterests(); });
 }
 
@@ -58,7 +58,9 @@ size_t MicroNode::ActiveGradients() const {
   return active;
 }
 
-void MicroNode::OnRadioReceive(NodeId from, const std::vector<uint8_t>& bytes) {
+void MicroNode::OnRadioReceive(NodeId from, const WireBody& body) {
+  std::vector<uint8_t> bytes;
+  body.AppendBytes(&bytes);
   MicroMessage message;
   if (!MicroDecode(bytes.data(), bytes.size(), &message)) {
     return;  // not a micro-shaped packet; a gateway handles those

@@ -80,7 +80,7 @@ class MicroNode {
     DataCallback callback;
   };
 
-  void OnRadioReceive(NodeId from, const std::vector<uint8_t>& bytes);
+  void OnRadioReceive(NodeId from, const WireBody& body);
   void HandleInterest(const MicroMessage& message, NodeId from);
   void HandleData(MicroMessage message, NodeId from);
   bool CacheCheckAndInsert(NodeId origin, uint32_t seq);

@@ -15,17 +15,14 @@
 
 #include "src/radio/position.h"
 #include "src/radio/wire_body.h"
-#include "src/util/byte_buffer.h"
 #include "src/util/time.h"
 
 namespace diffusion {
 
-// One link-layer fragment of a diffusion message. Carries either a byte
-// slice (`payload`, fed by Radio::SendMessage: micro nodes and tests that
-// send raw bytes) or a view into a shared zero-copy body (`body` +
-// `body_offset`/`payload_len`, fed by Radio::SendBody: every DiffusionNode
-// transmission). Both forms report identical wire sizes, so MAC admission,
-// airtime and every traced byte count agree.
+// One link-layer fragment of a message: the fragment header plus a handle
+// to the whole message body. The fragment covers body bytes
+// [body_offset, body_offset + payload_len); every fragment of a message
+// shares one body, so nothing is copied per fragment or per receiver.
 struct Fragment {
   NodeId src = 0;
   NodeId dst = kBroadcastId;
@@ -33,12 +30,8 @@ struct Fragment {
   uint16_t index = 0;
   uint16_t count = 1;
   // Transmit-side priority class for the MAC's congestion drop policy and
-  // per-class rate limiting. Link metadata only — never serialized.
+  // per-class rate limiting. Link metadata only — not part of the header.
   uint8_t priority = 1;  // MacPriority::kData
-  std::vector<uint8_t> payload;
-
-  // Zero-copy form: this fragment covers body bytes
-  // [body_offset, body_offset + payload_len). `payload` stays empty.
   BodyRef body;
   uint32_t body_offset = 0;
   uint16_t payload_len = 0;
@@ -46,28 +39,17 @@ struct Fragment {
   // Wire bytes of the fragment header (src + dst + seq + index + count + len).
   static constexpr size_t kHeaderBytes = 4 + 4 + 4 + 2 + 2 + 2;
 
-  size_t WireSize() const { return kHeaderBytes + (body ? payload_len : payload.size()); }
-
-  std::vector<uint8_t> Serialize() const;
-  static std::optional<Fragment> Deserialize(const std::vector<uint8_t>& bytes);
+  size_t WireSize() const { return kHeaderBytes + payload_len; }
 };
 
-// Splits `payload` into fragments carrying at most `max_payload` bytes each.
-// A zero-length payload yields a single empty fragment.
-std::vector<Fragment> SplitMessage(NodeId src, NodeId dst, uint32_t message_seq,
-                                   const std::vector<uint8_t>& payload, size_t max_payload);
-
-// Zero-copy SplitMessage: fragments reference `body` instead of copying byte
-// slices. Fragment boundaries are byte-identical to SplitMessage over the
-// body's encoding.
-std::vector<Fragment> SplitBody(NodeId src, NodeId dst, uint32_t message_seq, BodyRef body,
-                                size_t max_payload);
+// Splits `body` into fragments covering at most `max_payload` bytes each.
+// A zero-length body yields a single empty fragment.
+std::vector<Fragment> SplitMessage(NodeId src, NodeId dst, uint32_t message_seq, BodyRef body,
+                                   size_t max_payload);
 
 // Collects fragments until a message completes. Incomplete messages are
 // purged after `timeout`; a message with a lost fragment therefore never
-// surfaces, matching the no-ARQ radio. Both fragment forms reassemble here:
-// the byte path stays because micro nodes and Radio::SendMessage callers
-// still feed it.
+// surfaces, matching the no-ARQ radio.
 class Reassembler {
  public:
   explicit Reassembler(SimDuration timeout) : timeout_(timeout) {}
@@ -75,16 +57,7 @@ class Reassembler {
   struct Completed {
     NodeId src;
     NodeId dst;
-    // Byte-path completion (Radio::SendMessage senders): the reassembled
-    // payload. Empty for zero-copy completions (see `body`).
-    std::vector<uint8_t> payload;
-    // Zero-copy completion: the shared message body. Null on the byte path.
-    BodyRef body;
-
-    // Bytes of the completed message, whichever form it took.
-    size_t wire_bytes() const { return body ? body->wire_size() : payload.size(); }
-    // The exact reassembled bytes; materializes zero-copy bodies on demand.
-    std::vector<uint8_t> Bytes() const;
+    BodyRef body;  // the whole message
   };
 
   // Adds a fragment; returns the completed message if this was the last
@@ -106,8 +79,7 @@ class Reassembler {
     uint16_t count;
     uint16_t received;
     std::vector<bool> have;
-    std::vector<std::vector<uint8_t>> pieces;
-    BodyRef body;  // set for zero-copy streams; pieces stay empty
+    BodyRef body;
   };
   using Key = uint64_t;
   static Key MakeKey(NodeId src, uint32_t seq) { return (static_cast<uint64_t>(src) << 32) | seq; }

@@ -16,14 +16,7 @@ Radio::~Radio() { channel_->Detach(id_); }
 
 bool Radio::SendMessage(NodeId dst, const std::vector<uint8_t>& payload, MacPriority priority,
                         bool originated) {
-  if (!alive_) {
-    return false;
-  }
-  ++stats_.messages_sent;
-  stats_.message_bytes_sent += payload.size();
-  const uint32_t seq = next_message_seq_++;
-  return EnqueueFragments(
-      priority, SplitMessage(id_, dst, seq, payload, config_.fragment_payload), originated);
+  return SendBody(dst, ByteBody::Make(&sim_->slot_pool(), payload), priority, originated);
 }
 
 bool Radio::SendBody(NodeId dst, BodyRef body, MacPriority priority, bool originated) {
@@ -33,12 +26,8 @@ bool Radio::SendBody(NodeId dst, BodyRef body, MacPriority priority, bool origin
   ++stats_.messages_sent;
   stats_.message_bytes_sent += body->wire_size();
   const uint32_t seq = next_message_seq_++;
-  return EnqueueFragments(
-      priority, SplitBody(id_, dst, seq, std::move(body), config_.fragment_payload), originated);
-}
-
-bool Radio::EnqueueFragments(MacPriority priority, std::vector<Fragment> fragments,
-                             bool originated) {
+  std::vector<Fragment> fragments =
+      SplitMessage(id_, dst, seq, std::move(body), config_.fragment_payload);
   for (Fragment& fragment : fragments) {
     fragment.priority = static_cast<uint8_t>(priority);
   }
@@ -140,19 +129,9 @@ void Radio::OnFrameDelivered(const Fragment& fragment, SimDuration airtime) {
     return;
   }
   ++stats_.messages_received;
-  stats_.message_bytes_received += completed->wire_bytes();
-  if (completed->body && body_callback_) {
-    body_callback_(completed->src, *completed->body);
-    return;
-  }
+  stats_.message_bytes_received += completed->body->wire_size();
   if (receive_callback_) {
-    // Body-form completion but no structured receiver (e.g. a micro node on
-    // the shared channel): materialize the exact bytes on demand.
-    if (completed->body) {
-      receive_callback_(completed->src, completed->Bytes());
-    } else {
-      receive_callback_(completed->src, completed->payload);
-    }
+    receive_callback_(completed->src, *completed->body);
   }
 }
 

@@ -2,6 +2,10 @@
 // unicast to immediate neighbors" (§4). Combines the CSMA MAC, 27-byte
 // fragmentation, and reassembly, and keeps the per-node traffic/time
 // accounting the evaluation section reports.
+//
+// A message travels as one shared WireBody (src/radio/wire_body.h): SendBody
+// splits it into fragments that each reference the body, and the receiving
+// radio hands the reassembled body to its one ReceiveCallback.
 
 #ifndef SRC_RADIO_RADIO_H_
 #define SRC_RADIO_RADIO_H_
@@ -42,11 +46,10 @@ struct RadioStats {
 
 class Radio : public ChannelEndpoint {
  public:
-  using ReceiveCallback =
-      std::function<void(NodeId from, const std::vector<uint8_t>& payload)>;
-  // Zero-copy delivery: completed body-form messages are handed over as the
-  // shared WireBody instead of materialized bytes.
-  using BodyCallback = std::function<void(NodeId from, const WireBody& body)>;
+  // Receives each completed message as its shared body: a MessageBody from
+  // a DiffusionNode sender, a ByteBody from a byte sender or a frame bridged
+  // in from another region. Receivers that parse bytes call AppendBytes.
+  using ReceiveCallback = std::function<void(NodeId from, const WireBody& body)>;
 
   Radio(Simulator* sim, Channel* channel, NodeId id, RadioConfig config = RadioConfig{});
   ~Radio() override;
@@ -55,27 +58,19 @@ class Radio : public ChannelEndpoint {
   Radio& operator=(const Radio&) = delete;
 
   void SetReceiveCallback(ReceiveCallback callback) { receive_callback_ = std::move(callback); }
-  // Optional: when set, body-form completions bypass byte materialization.
-  // Byte-form completions (from senders using SendMessage) still arrive via
-  // the ReceiveCallback, as do body-form ones if no BodyCallback is set.
-  void SetBodyCallback(BodyCallback callback) { body_callback_ = std::move(callback); }
 
-  // Sends `payload` to a neighbor (or kBroadcastId). The payload is
-  // fragmented (copied into fragments before returning, so callers may reuse
-  // the buffer); delivery is best-effort. `priority` feeds the MAC's
-  // congestion drop policy and per-class rate limiter (irrelevant when
-  // shaping is off). `originated` marks messages this node injects into the
-  // network (vs forwarded transit), which originated_only token buckets use
-  // for ingress policing. Returns false only if every fragment was dropped
-  // at the queue.
-  bool SendMessage(NodeId dst, const std::vector<uint8_t>& payload,
-                   MacPriority priority = MacPriority::kData, bool originated = true);
-
-  // Zero-copy SendMessage: fragments share `body` instead of copying byte
-  // slices. Identical admission, airtime and accounting — body->wire_size()
-  // stands in for payload.size() everywhere.
+  // Sends `body` to a neighbor (or kBroadcastId). Its fragments share the
+  // body; delivery is best-effort. `priority` feeds the MAC's congestion
+  // drop policy and per-class rate limiter (irrelevant when shaping is off).
+  // `originated` marks messages this node injects into the network (vs
+  // forwarded transit), which originated_only token buckets use for ingress
+  // policing. Returns false only if every fragment was dropped at the queue.
   bool SendBody(NodeId dst, BodyRef body, MacPriority priority = MacPriority::kData,
                 bool originated = true);
+
+  // SendBody over a copy of `payload`, wrapped in a pooled ByteBody.
+  bool SendMessage(NodeId dst, const std::vector<uint8_t>& payload,
+                   MacPriority priority = MacPriority::kData, bool originated = true);
 
   // Node failure injection. A dead radio neither sends nor receives.
   void Kill();
@@ -101,9 +96,6 @@ class Radio : public ChannelEndpoint {
   void OnFrameDelivered(const Fragment& fragment, SimDuration airtime) override;
 
  private:
-  // Shared transmit tail: admission + per-fragment enqueue and accounting.
-  bool EnqueueFragments(MacPriority priority, std::vector<Fragment> fragments, bool originated);
-
   Simulator* sim_;
   Channel* channel_;
   NodeId id_;
@@ -111,7 +103,6 @@ class Radio : public ChannelEndpoint {
   CsmaMac mac_;
   Reassembler reassembler_;
   ReceiveCallback receive_callback_;
-  BodyCallback body_callback_;
   uint32_t next_message_seq_ = 1;
   bool alive_ = true;
   RadioStats stats_;

@@ -57,10 +57,14 @@ void RegionBridge::DrainInto(int dst_region, SimTime barrier) {
     if (deliver > finish) {
       ++clamped_by_region_[static_cast<size_t>(dst_region)];
     }
-    // The slot recycles at the next window; the closure owns its own copy.
-    channel->simulator().At(
-        deliver, [channel, sender = frame->sender, fragment = frame->fragment,
-                  airtime = frame->duration] { channel->DeliverRemote(sender, fragment, airtime); });
+    // The slot recycles at the next window; the closure owns its own copy,
+    // and wraps it in a body from the destination region's pool when it
+    // runs there.
+    channel->simulator().At(deliver, [channel, sender = frame->sender, fragment = frame->fragment,
+                                      bytes = frame->bytes, airtime = frame->duration]() mutable {
+      fragment.body = ByteBody::Make(&channel->simulator().slot_pool(), std::move(bytes));
+      channel->DeliverRemote(sender, fragment, airtime);
+    });
   }
 }
 

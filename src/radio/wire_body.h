@@ -1,20 +1,21 @@
-// Zero-copy wire bodies.
+// Wire bodies: the one form a message takes on the simulated radio.
 //
-// The pre-overhaul wire path serialized every message into bytes at the
-// sender, copied byte slices into fragments, reassembled them at each
-// receiver, and re-parsed the bytes back into a message — per hop. The
-// simulated radio only ever *accounts* for those bytes (fragment counts,
-// airtime, Figure-8 byte totals); nothing reads their content in flight. A
-// WireBody replaces the byte image with a shared, refcounted handle to the
-// already-structured message: fragments carry the handle plus their byte
-// length, every size-derived quantity (fragmentation, admission, airtime,
-// traces) is computed from wire_size(), and the exact bytes can still be
-// materialized on demand (AppendBytes) for receivers that want the byte
-// path — so the wire format, and therefore behavior, is unchanged.
+// A message is sent as a refcounted handle to its body. Every fragment of
+// the message holds the same handle plus the byte range it covers, and
+// every receiver that reassembles the message gets the same body back. The
+// radio only *accounts* for bytes in flight (fragment counts, airtime,
+// Figure-8 byte totals), so every size-derived quantity is computed from
+// wire_size(); AppendBytes() materializes the exact encoding for receivers
+// that parse bytes.
+//
+// Two concrete bodies exist: MessageBody (src/core/message_body.h) wraps a
+// structured diffusion Message, and ByteBody below wraps bytes — from a
+// sender that holds bytes (Radio::SendMessage) or from a frame bridged in
+// from another region (src/radio/region_bridge.cc).
 //
 // The refcount is intrusive and non-atomic: a body never leaves its
 // simulation thread. Recycle() gives the concrete type its storage back
-// (the engine pools bodies through the simulator's SlotPool).
+// (bodies are pooled through the simulator's SlotPool).
 
 #ifndef SRC_RADIO_WIRE_BODY_H_
 #define SRC_RADIO_WIRE_BODY_H_
@@ -23,6 +24,8 @@
 #include <cstdint>
 #include <utility>
 #include <vector>
+
+#include "src/util/arena.h"
 
 namespace diffusion {
 
@@ -33,13 +36,10 @@ class WireBody {
   WireBody(const WireBody&) = delete;
   WireBody& operator=(const WireBody&) = delete;
 
-  // Exact byte count of the encoded body (what the pre-overhaul path would
-  // have put on the wire).
+  // Exact byte count of the encoded body.
   virtual size_t wire_size() const = 0;
 
-  // Materializes the encoded bytes (appended to `out`). Byte-exact with the
-  // pre-overhaul encoding; used only when a receiver lacks the structured
-  // delivery path (e.g. constrained micro nodes sharing the channel).
+  // Appends the encoded bytes to `out`.
   virtual void AppendBytes(std::vector<uint8_t>* out) const = 0;
 
  protected:
@@ -94,6 +94,37 @@ class BodyRef {
   }
 
   const WireBody* body_ = nullptr;
+};
+
+// A body over an owned byte vector.
+class ByteBody final : public WireBody {
+ public:
+  // Builds a pooled body holding `bytes`; the body returns to `pool` when
+  // the last BodyRef drops.
+  static BodyRef Make(SlotPool* pool, std::vector<uint8_t> bytes) {
+    Pool<ByteBody> typed(pool);
+    return BodyRef(typed.New(pool, std::move(bytes)));
+  }
+
+  size_t wire_size() const override { return bytes_.size(); }
+
+  void AppendBytes(std::vector<uint8_t>* out) const override {
+    out->insert(out->end(), bytes_.begin(), bytes_.end());
+  }
+
+ private:
+  friend class Pool<ByteBody>;  // placement-constructs and destroys bodies
+
+  ByteBody(SlotPool* pool, std::vector<uint8_t> bytes) : pool_(pool), bytes_(std::move(bytes)) {}
+
+  void Recycle() override {
+    SlotPool* pool = pool_;  // survives destruction below
+    Pool<ByteBody> typed(pool);
+    typed.Delete(this);
+  }
+
+  SlotPool* pool_;
+  std::vector<uint8_t> bytes_;
 };
 
 }  // namespace diffusion

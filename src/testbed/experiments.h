@@ -33,9 +33,7 @@ enum class AggregationStrategy {
 
 struct Fig8Params {
   int sources = 4;           // 1..4; uses the Figure-7 source nodes in order
-  bool suppression = true;   // shorthand for strategy (kSuppression vs kNone)
   AggregationStrategy strategy = AggregationStrategy::kSuppression;
-  bool use_strategy = false;  // when true, `strategy` overrides `suppression`
   SimDuration counting_window = 2 * kSecond;
   SimDuration duration = 30 * kMinute;
   SimDuration warmup = 60 * kSecond;
@@ -58,14 +56,6 @@ struct Fig8Params {
   // injects a private per-replicate buffer here so parallel replicates never
   // share a file stream; must outlive the run.
   TraceSink* trace_sink = nullptr;
-  // Run on the spatially sharded parallel core (src/testbed/sharded_world.h)
-  // instead of one monolithic Simulator. 0 or 1 keeps the sequential engine.
-  // Sharded runs are deterministic at any thread count but are a border
-  // approximation of the monolithic run, so they are a separate measurement
-  // series, not a byte-identical replica. Shadowing has no sharded
-  // implementation and falls back to the sequential engine.
-  int parallel_regions = 0;
-  unsigned parallel_threads = 1;  // 0 = hardware concurrency
 };
 
 struct Fig8Result {
@@ -84,8 +74,7 @@ struct Fig8Result {
   // work unit bench/engine_throughput divides wall time by).
   uint64_t events_executed = 0;
   // Deterministic work counters over warmup + measurement, gated
-  // byte-for-byte by bench/engine_throughput --check. Summed over regions
-  // on the sharded core.
+  // byte-for-byte by bench/engine_throughput --check.
   uint64_t pool_slots_grown = 0;      // SlotPool acquires that found no free slot
   uint64_t receptions_attempted = 0;  // (transmission, reachable receiver) pairs
   uint64_t receivers_scanned = 0;     // receiver-list entries visited per frame

@@ -18,6 +18,7 @@
 #include "src/sim/simulator.h"
 #include "src/testbed/congestion.h"
 #include "src/trace/trace.h"
+#include "src/util/arena.h"
 #include "tests/test_util.h"
 
 namespace diffusion {
@@ -38,8 +39,10 @@ AttributeVector Publication() {
 // On-air bytes of a single `payload_bytes`-byte message (what the token
 // buckets charge): fragment wire sizes summed over the split.
 size_t MessageWireBytes(size_t payload_bytes, size_t max_payload) {
-  const std::vector<Fragment> fragments =
-      SplitMessage(1, 2, 1, std::vector<uint8_t>(payload_bytes, 0xab), max_payload);
+  Arena arena;
+  SlotPool pool(&arena);
+  const std::vector<Fragment> fragments = SplitMessage(
+      1, 2, 1, ByteBody::Make(&pool, std::vector<uint8_t>(payload_bytes, 0xab)), max_payload);
   size_t wire = 0;
   for (const Fragment& fragment : fragments) {
     wire += fragment.WireSize();

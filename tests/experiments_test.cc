@@ -14,9 +14,9 @@ TEST(Fig8ExperimentTest, SingleSourceIdenticalWithAndWithoutSuppression) {
   params.sources = 1;
   params.duration = 5 * kMinute;
   params.seed = 7;
-  params.suppression = true;
+  params.strategy = AggregationStrategy::kSuppression;
   const Fig8Result with = RunFig8(params);
-  params.suppression = false;
+  params.strategy = AggregationStrategy::kNone;
   const Fig8Result without = RunFig8(params);
   // "Performance with one source is basically identical with and without
   // suppression" — identical here because the run is deterministic and the
@@ -30,9 +30,9 @@ TEST(Fig8ExperimentTest, SuppressionSavesTrafficAtFourSources) {
   params.sources = 4;
   params.duration = 10 * kMinute;
   params.seed = 7;
-  params.suppression = true;
+  params.strategy = AggregationStrategy::kSuppression;
   const Fig8Result with = RunFig8(params);
-  params.suppression = false;
+  params.strategy = AggregationStrategy::kNone;
   const Fig8Result without = RunFig8(params);
   EXPECT_GT(with.distinct_events, 50u);
   EXPECT_GT(with.suppressed, 0u);
@@ -45,7 +45,7 @@ TEST(Fig8ExperimentTest, TrafficGrowsWithSourcesWithoutSuppression) {
   Fig8Params params;
   params.duration = 10 * kMinute;
   params.seed = 11;
-  params.suppression = false;
+  params.strategy = AggregationStrategy::kNone;
   params.sources = 1;
   const double one = RunFig8(params).bytes_per_event;
   params.sources = 4;

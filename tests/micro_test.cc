@@ -4,11 +4,14 @@
 #include <gtest/gtest.h>
 
 #include "src/core/message.h"
+#include "src/core/message_body.h"
 #include "src/core/node.h"
 #include "src/micro/micro_gateway.h"
 #include "src/micro/micro_node.h"
 #include "src/micro/micro_wire.h"
 #include "src/naming/keys.h"
+#include "src/radio/radio.h"
+#include "src/radio/wire_body.h"
 #include "tests/test_util.h"
 
 namespace diffusion {
@@ -245,6 +248,43 @@ TEST(MicroNodeTest, CacheDigestCollisionsDropFreshPackets) {
 }
 
 // ---- Gateway / tiered architecture ----
+
+TEST(MicroNodeTest, SharesOneChannelWithAFullNode) {
+  // §4.3: micro packets are header-compatible with full diffusion, so a mote
+  // and a full node can share one channel and hear each other through the
+  // radio's one receive callback. The mote's interest goes out as a
+  // ByteBody, which the full node parses from its bytes; the full node
+  // re-floods it as a MessageBody, which the mote decodes via AppendBytes.
+  Simulator sim(9);
+  auto channel = MakeCliqueChannel(&sim, 3);
+  MicroNode mote(&sim, channel.get(), 1, FastRadio());
+  DiffusionNode full(&sim, channel.get(), 2, NodeOptions{.radio = FastRadio()});
+  // A bare radio records which body form each sender put on the air.
+  Radio observer(&sim, channel.get(), 3, FastRadio());
+  std::vector<NodeId> byte_senders;
+  std::vector<NodeId> message_senders;
+  observer.SetReceiveCallback([&](NodeId from, const WireBody& body) {
+    if (dynamic_cast<const ByteBody*>(&body) != nullptr) {
+      byte_senders.push_back(from);
+    } else if (dynamic_cast<const MessageBody*>(&body) != nullptr) {
+      message_senders.push_back(from);
+    }
+  });
+
+  constexpr MicroTag kTag = 77;
+  ASSERT_TRUE(mote.Subscribe(kTag, [](MicroTag, int32_t, NodeId) {}));
+  sim.RunUntil(kSecond);
+
+  EXPECT_EQ(byte_senders, std::vector<NodeId>{1});
+  EXPECT_EQ(message_senders, std::vector<NodeId>{2});
+  // The full node parsed the mote's bytes and forwarded the interest.
+  EXPECT_EQ(full.stats().decode_failures, 0u);
+  EXPECT_EQ(full.stats().messages_forwarded, 1u);
+  // The mote decoded the re-flood: a gradient toward the full node, and a
+  // cache hit on its own interest coming back.
+  EXPECT_EQ(mote.ActiveGradients(), 1u);
+  EXPECT_EQ(mote.stats().cache_drops, 1u);
+}
 
 TEST(MicroGatewayTest, BridgesMoteReadingsIntoFullTier) {
   Simulator sim(6);

@@ -23,11 +23,13 @@
 #include "src/radio/channel.h"
 #include "src/radio/region_mailbox.h"
 #include "src/radio/region_map.h"
+#include "src/radio/wire_body.h"
 #include "src/sim/sharded_engine.h"
 #include "src/testbed/sharded_world.h"
 #include "src/testbed/topology.h"
 #include "src/trace/metrics.h"
 #include "src/trace/trace.h"
+#include "src/util/arena.h"
 
 // Death tests fork (or clone) the process; TSan instrumented binaries do not
 // support that, and the parallel suite runs under TSan in CI.
@@ -133,10 +135,13 @@ TEST(RegionMailboxTest, DrainMergesAcrossSourcesInOrder) {
   pool.Link(0, 1);
   pool.Link(2, 1);
 
+  Arena arena;
+  SlotPool slots(&arena);
   Fragment fragment;
   fragment.src = 7;
   fragment.message_seq = 1;
-  fragment.payload = {1, 2, 3};
+  fragment.body = ByteBody::Make(&slots, {1, 2, 3});
+  fragment.payload_len = 3;
   pool.Post(2, 1, 20, fragment, 500, 10);
   pool.Post(0, 1, 10, fragment, 500, 10);  // same start: src region 0 first
   pool.Post(0, 1, 11, fragment, 100, 10);
@@ -148,7 +153,7 @@ TEST(RegionMailboxTest, DrainMergesAcrossSourcesInOrder) {
   EXPECT_EQ(drained[0]->sender, 11u);
   EXPECT_EQ(drained[1]->sender, 10u);
   EXPECT_EQ(drained[2]->sender, 20u);
-  EXPECT_EQ(drained[0]->fragment.payload, std::vector<uint8_t>({1, 2, 3}));
+  EXPECT_EQ(drained[0]->bytes, std::vector<uint8_t>({1, 2, 3}));
   EXPECT_FALSE(pool.HasPending(1));
   EXPECT_EQ(pool.posted_to(1), 3u);
 
@@ -160,33 +165,23 @@ TEST(RegionMailboxTest, DrainMergesAcrossSourcesInOrder) {
   EXPECT_EQ(pool.posted_to(1), 4u);
 }
 
-// Stack-owned WireBody for the flattening test.
-class TestWireBody final : public WireBody {
- public:
-  explicit TestWireBody(std::vector<uint8_t> bytes) : bytes_(std::move(bytes)) {}
-
-  size_t wire_size() const override { return bytes_.size(); }
-  void AppendBytes(std::vector<uint8_t>* out) const override {
-    out->insert(out->end(), bytes_.begin(), bytes_.end());
-  }
-
- private:
-  void Recycle() override {}  // storage lives on the test's stack
-
-  std::vector<uint8_t> bytes_;
-};
-
 TEST(RegionMailboxTest, FlattensZeroCopyBodies) {
   RegionMailboxPool pool(2);
   pool.writer_role().Assert();
   pool.barrier_role().Assert();
   pool.Link(0, 1);
 
-  // A fragment riding a zero-copy body must arrive as plain bytes: its slice
-  // of the materialized image, no body reference.
-  TestWireBody body({9, 8, 7, 6, 5, 4});
+  // A fragment's pooled body must not cross threads: the slot holds the
+  // whole message's bytes and the fragment's slice bounds, no body
+  // reference.
+  Arena arena;
+  SlotPool slots(&arena);
   Fragment fragment;
-  fragment.body = BodyRef(&body);
+  fragment.src = 3;
+  fragment.message_seq = 4;
+  fragment.index = 1;
+  fragment.count = 2;
+  fragment.body = ByteBody::Make(&slots, {9, 8, 7, 6, 5, 4});
   fragment.body_offset = 2;
   fragment.payload_len = 3;
   pool.Post(0, 1, 1, fragment, 10, 5);
@@ -194,8 +189,15 @@ TEST(RegionMailboxTest, FlattensZeroCopyBodies) {
   std::vector<const BorderFrame*> drained;
   pool.DrainInto(1, &drained);
   ASSERT_EQ(drained.size(), 1u);
-  EXPECT_FALSE(drained[0]->fragment.body);
-  EXPECT_EQ(drained[0]->fragment.payload, std::vector<uint8_t>({7, 6, 5}));
+  const Fragment& posted = drained[0]->fragment;
+  EXPECT_FALSE(posted.body);
+  EXPECT_EQ(drained[0]->bytes, std::vector<uint8_t>({9, 8, 7, 6, 5, 4}));
+  EXPECT_EQ(posted.body_offset, 2u);
+  EXPECT_EQ(posted.payload_len, 3u);
+  EXPECT_EQ(posted.src, 3u);
+  EXPECT_EQ(posted.message_seq, 4u);
+  EXPECT_EQ(posted.index, 1);
+  EXPECT_EQ(posted.count, 2);
 }
 
 // Pins the invariant diffusion-lint DL009 checks statically and the clang
@@ -211,8 +213,11 @@ TEST(RegionMailboxDeathTest, SecondWriterTripsOwnerCheck) {
   pool.writer_role().Assert();
   pool.barrier_role().Assert();
   pool.Link(0, 1);
+  Arena arena;
+  SlotPool slots(&arena);
   Fragment fragment;
-  fragment.payload = {1};
+  fragment.body = ByteBody::Make(&slots, {1});
+  fragment.payload_len = 1;
   pool.Post(0, 1, 1, fragment, 10, 5);  // pins the mailbox to this thread
   EXPECT_DEATH(
       {

@@ -13,12 +13,14 @@
 #include "src/radio/radio.h"
 #include "src/sim/simulator.h"
 #include "src/trace/trace.h"
+#include "src/util/arena.h"
 #include "src/util/rng.h"
 #include "tests/test_util.h"
 
 namespace diffusion {
 namespace {
 
+using testing_support::BodyBytes;
 using testing_support::ExpectReceiverListsTrackChanges;
 using testing_support::FastRadio;
 using testing_support::MakeCliqueChannel;
@@ -98,72 +100,56 @@ TEST(PropagationTest, ExplicitTopology) {
 
 // ---- Fragmentation ----
 
-TEST(FragmentationTest, SplitSizes) {
-  const std::vector<uint8_t> payload(112, 0x11);
-  const auto fragments = SplitMessage(1, 2, 7, payload, 27);
+// Fragments reference pooled ByteBodies, the form byte senders put on the
+// wire.
+class FragmentationTest : public ::testing::Test {
+ protected:
+  BodyRef Body(std::vector<uint8_t> bytes) { return ByteBody::Make(&pool_, std::move(bytes)); }
+
+  Arena arena_;
+  SlotPool pool_{&arena_};
+};
+
+TEST_F(FragmentationTest, SplitSizes) {
+  const BodyRef body = Body(std::vector<uint8_t>(112, 0x11));
+  const auto fragments = SplitMessage(1, 2, 7, body, 27);
   ASSERT_EQ(fragments.size(), 5u);  // 112 = 4*27 + 4
   for (size_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(fragments[i].payload.size(), 27u);
+    EXPECT_EQ(fragments[i].payload_len, 27u);
+    EXPECT_EQ(fragments[i].body_offset, 27u * i);
     EXPECT_EQ(fragments[i].index, i);
     EXPECT_EQ(fragments[i].count, 5);
+    EXPECT_EQ(fragments[i].body.get(), body.get());  // one shared body
   }
-  EXPECT_EQ(fragments[4].payload.size(), 4u);
+  EXPECT_EQ(fragments[4].payload_len, 4u);
+  EXPECT_EQ(fragments[4].WireSize(), Fragment::kHeaderBytes + 4);
 }
 
-TEST(FragmentationTest, EmptyPayloadYieldsOneFragment) {
-  const auto fragments = SplitMessage(1, 2, 7, {}, 27);
+TEST_F(FragmentationTest, EmptyPayloadYieldsOneFragment) {
+  const auto fragments = SplitMessage(1, 2, 7, Body({}), 27);
   ASSERT_EQ(fragments.size(), 1u);
-  EXPECT_TRUE(fragments[0].payload.empty());
+  EXPECT_EQ(fragments[0].payload_len, 0u);
+  EXPECT_EQ(fragments[0].WireSize(), Fragment::kHeaderBytes);
 }
 
-TEST(FragmentationTest, FragmentSerializeRoundTrip) {
-  Fragment fragment;
-  fragment.src = 10;
-  fragment.dst = kBroadcastId;
-  fragment.message_seq = 99;
-  fragment.index = 2;
-  fragment.count = 5;
-  fragment.payload = {9, 8, 7};
-  const auto bytes = fragment.Serialize();
-  EXPECT_EQ(bytes.size(), fragment.WireSize());
-  const auto round = Fragment::Deserialize(bytes);
-  ASSERT_TRUE(round.has_value());
-  EXPECT_EQ(round->src, 10u);
-  EXPECT_EQ(round->dst, kBroadcastId);
-  EXPECT_EQ(round->message_seq, 99u);
-  EXPECT_EQ(round->index, 2);
-  EXPECT_EQ(round->count, 5);
-  EXPECT_EQ(round->payload, fragment.payload);
-}
-
-TEST(FragmentationTest, DeserializeRejectsMalformed) {
-  EXPECT_EQ(Fragment::Deserialize({1, 2, 3}), std::nullopt);
-  Fragment fragment;
-  fragment.index = 4;
-  fragment.count = 3;  // index >= count
-  fragment.payload = {};
-  // Construct manually since Serialize would encode the bad values as-is.
-  EXPECT_EQ(Fragment::Deserialize(fragment.Serialize()), std::nullopt);
-}
-
-TEST(FragmentationTest, ReassemblyInOrder) {
+TEST_F(FragmentationTest, ReassemblyInOrder) {
   Reassembler reassembler(kSecond);
   const std::vector<uint8_t> payload(60, 0xcd);
-  const auto fragments = SplitMessage(1, 2, 7, payload, 27);
+  const auto fragments = SplitMessage(1, 2, 7, Body(payload), 27);
   for (size_t i = 0; i + 1 < fragments.size(); ++i) {
     EXPECT_EQ(reassembler.Add(fragments[i], 0), std::nullopt);
   }
   const auto completed = reassembler.Add(fragments.back(), 0);
   ASSERT_TRUE(completed.has_value());
-  EXPECT_EQ(completed->payload, payload);
+  EXPECT_EQ(BodyBytes(*completed->body), payload);
   EXPECT_EQ(completed->src, 1u);
   EXPECT_EQ(reassembler.pending(), 0u);
 }
 
-TEST(FragmentationTest, ReassemblyOutOfOrderAndDuplicates) {
+TEST_F(FragmentationTest, ReassemblyOutOfOrderAndDuplicates) {
   Reassembler reassembler(kSecond);
   const std::vector<uint8_t> payload(100, 0xee);
-  auto fragments = SplitMessage(1, 2, 7, payload, 27);
+  auto fragments = SplitMessage(1, 2, 7, Body(payload), 27);
   ASSERT_EQ(fragments.size(), 4u);
   EXPECT_EQ(reassembler.Add(fragments[2], 0), std::nullopt);
   EXPECT_EQ(reassembler.Add(fragments[0], 0), std::nullopt);
@@ -171,12 +157,12 @@ TEST(FragmentationTest, ReassemblyOutOfOrderAndDuplicates) {
   EXPECT_EQ(reassembler.Add(fragments[3], 0), std::nullopt);
   const auto completed = reassembler.Add(fragments[1], 0);
   ASSERT_TRUE(completed.has_value());
-  EXPECT_EQ(completed->payload, payload);
+  EXPECT_EQ(BodyBytes(*completed->body), payload);
 }
 
-TEST(FragmentationTest, MissingFragmentTimesOut) {
+TEST_F(FragmentationTest, MissingFragmentTimesOut) {
   Reassembler reassembler(kSecond);
-  const auto fragments = SplitMessage(1, 2, 7, std::vector<uint8_t>(60, 1), 27);
+  const auto fragments = SplitMessage(1, 2, 7, Body(std::vector<uint8_t>(60, 1)), 27);
   reassembler.Add(fragments[0], 0);
   reassembler.Add(fragments[1], 0);
   EXPECT_EQ(reassembler.pending(), 1u);
@@ -186,21 +172,21 @@ TEST(FragmentationTest, MissingFragmentTimesOut) {
   EXPECT_EQ(reassembler.Add(fragments[2], 2 * kSecond), std::nullopt);
 }
 
-TEST(FragmentationTest, InterleavedSendersReassembleIndependently) {
+TEST_F(FragmentationTest, InterleavedSendersReassembleIndependently) {
   Reassembler reassembler(kSecond);
   const std::vector<uint8_t> pa(30, 0xaa);
   const std::vector<uint8_t> pb(30, 0xbb);
-  const auto fa = SplitMessage(1, 9, 5, pa, 27);
-  const auto fb = SplitMessage(2, 9, 5, pb, 27);
+  const auto fa = SplitMessage(1, 9, 5, Body(pa), 27);
+  const auto fb = SplitMessage(2, 9, 5, Body(pb), 27);
   ASSERT_EQ(fa.size(), 2u);
   EXPECT_EQ(reassembler.Add(fa[0], 0), std::nullopt);
   EXPECT_EQ(reassembler.Add(fb[0], 0), std::nullopt);
   auto done_b = reassembler.Add(fb[1], 0);
   ASSERT_TRUE(done_b.has_value());
-  EXPECT_EQ(done_b->payload, pb);
+  EXPECT_EQ(BodyBytes(*done_b->body), pb);
   auto done_a = reassembler.Add(fa[1], 0);
   ASSERT_TRUE(done_a.has_value());
-  EXPECT_EQ(done_a->payload, pa);
+  EXPECT_EQ(BodyBytes(*done_a->body), pa);
 }
 
 // ---- Radio / channel / MAC end-to-end ----
@@ -212,9 +198,9 @@ TEST(RadioTest, DeliversAcrossOneHop) {
   Radio b(&sim, channel.get(), 2, FastRadio());
   std::vector<uint8_t> received;
   NodeId from = 0;
-  b.SetReceiveCallback([&](NodeId src, const std::vector<uint8_t>& payload) {
+  b.SetReceiveCallback([&](NodeId src, const WireBody& body) {
     from = src;
-    received = payload;
+    received = BodyBytes(body);
   });
   const std::vector<uint8_t> payload(112, 0x42);
   EXPECT_TRUE(a.SendMessage(kBroadcastId, payload));
@@ -236,8 +222,8 @@ TEST(RadioTest, UnicastFilteredButOverheard) {
   Radio c(&sim, channel.get(), 3, FastRadio());
   int b_received = 0;
   int c_received = 0;
-  b.SetReceiveCallback([&](NodeId, const std::vector<uint8_t>&) { ++b_received; });
-  c.SetReceiveCallback([&](NodeId, const std::vector<uint8_t>&) { ++c_received; });
+  b.SetReceiveCallback([&](NodeId, const WireBody&) { ++b_received; });
+  c.SetReceiveCallback([&](NodeId, const WireBody&) { ++c_received; });
   a.SendMessage(2, std::vector<uint8_t>(40, 1));
   sim.RunUntil(kSecond);
   EXPECT_EQ(b_received, 1);
@@ -253,7 +239,7 @@ TEST(RadioTest, NoDeliveryOutOfRange) {
   Radio b(&sim, channel.get(), 2, FastRadio());
   Radio c(&sim, channel.get(), 3, FastRadio());
   int c_received = 0;
-  c.SetReceiveCallback([&](NodeId, const std::vector<uint8_t>&) { ++c_received; });
+  c.SetReceiveCallback([&](NodeId, const WireBody&) { ++c_received; });
   a.SendMessage(kBroadcastId, std::vector<uint8_t>(20, 1));
   sim.RunUntil(kSecond);
   EXPECT_EQ(c_received, 0);
@@ -270,7 +256,7 @@ TEST(RadioTest, HiddenTerminalCollision) {
   Radio b(&sim, channel.get(), 2, config);
   Radio c(&sim, channel.get(), 3, config);
   int b_received = 0;
-  b.SetReceiveCallback([&](NodeId, const std::vector<uint8_t>&) { ++b_received; });
+  b.SetReceiveCallback([&](NodeId, const WireBody&) { ++b_received; });
   a.SendMessage(kBroadcastId, std::vector<uint8_t>(20, 1));
   c.SendMessage(kBroadcastId, std::vector<uint8_t>(20, 2));
   sim.RunUntil(kSecond);
@@ -296,7 +282,7 @@ TEST(RadioTest, LargeNodeIdsShareOneChannel) {
   Radio big(&sim, &channel, kBig, config);
   std::vector<NodeId> b_heard_from;
   b.SetReceiveCallback(
-      [&](NodeId src, const std::vector<uint8_t>&) { b_heard_from.push_back(src); });
+      [&](NodeId src, const WireBody&) { b_heard_from.push_back(src); });
 
   // Delivery from the large id.
   big.SendMessage(kBroadcastId, std::vector<uint8_t>(20, 1));
@@ -338,7 +324,7 @@ TEST(RadioTest, CarrierSenseAvoidsCollisionWhenInRange) {
   Radio b(&sim, channel.get(), 2, FastRadio());
   Radio c(&sim, channel.get(), 3, FastRadio());
   int received = 0;
-  c.SetReceiveCallback([&](NodeId, const std::vector<uint8_t>&) { ++received; });
+  c.SetReceiveCallback([&](NodeId, const WireBody&) { ++received; });
   for (int i = 0; i < 10; ++i) {
     a.SendMessage(kBroadcastId, std::vector<uint8_t>(20, 1));
     b.SendMessage(kBroadcastId, std::vector<uint8_t>(20, 2));
@@ -355,7 +341,7 @@ TEST(RadioTest, LossyLinkDropsWholeMessages) {
   Radio a(&sim, channel.get(), 1, FastRadio());
   Radio b(&sim, channel.get(), 2, FastRadio());
   int received = 0;
-  b.SetReceiveCallback([&](NodeId, const std::vector<uint8_t>&) { ++received; });
+  b.SetReceiveCallback([&](NodeId, const WireBody&) { ++received; });
   const int sent = 300;
   for (int i = 0; i < sent; ++i) {
     sim.After(i * 20 * kMillisecond, [&a] { a.SendMessage(kBroadcastId, std::vector<uint8_t>(112, 3)); });
@@ -372,7 +358,7 @@ TEST(RadioTest, DeadRadioNeitherSendsNorReceives) {
   Radio a(&sim, channel.get(), 1, FastRadio());
   Radio b(&sim, channel.get(), 2, FastRadio());
   int received = 0;
-  b.SetReceiveCallback([&](NodeId, const std::vector<uint8_t>&) { ++received; });
+  b.SetReceiveCallback([&](NodeId, const WireBody&) { ++received; });
   b.Kill();
   a.SendMessage(kBroadcastId, std::vector<uint8_t>(20, 1));
   sim.RunUntil(kSecond);
@@ -431,10 +417,12 @@ TEST(ChannelTest, DetachMidFlightScrubsReceptions) {
   // Two transmissions overlap at node 3 for their whole duration.
   Fragment frame_a;
   frame_a.src = 1;
-  frame_a.payload.assign(20, 0xaa);
+  frame_a.body = ByteBody::Make(&sim.slot_pool(), std::vector<uint8_t>(20, 0xaa));
+  frame_a.payload_len = 20;
   Fragment frame_b;
   frame_b.src = 2;
-  frame_b.payload.assign(20, 0xbb);
+  frame_b.body = ByteBody::Make(&sim.slot_pool(), std::vector<uint8_t>(20, 0xbb));
+  frame_b.payload_len = 20;
   sim.After(0, [&] { channel->Transmit(1, frame_a, 10 * kMillisecond); });
   sim.After(kMillisecond, [&] { channel->Transmit(2, frame_b, 10 * kMillisecond); });
 
@@ -467,7 +455,8 @@ TEST(ChannelTest, DetachedReceiverStopsMidFlightCleanly) {
 
   Fragment frame;
   frame.src = 1;
-  frame.payload.assign(20, 0x11);
+  frame.body = ByteBody::Make(&sim.slot_pool(), std::vector<uint8_t>(20, 0x11));
+  frame.payload_len = 20;
   sim.After(0, [&] { channel->Transmit(1, frame, 10 * kMillisecond); });
   sim.After(5 * kMillisecond, [&] { channel->Detach(2); });
   sim.RunUntil(kSecond);
@@ -665,7 +654,7 @@ TEST(DutyCycleTest, TransmissionsDeferredIntoAwakeWindows) {
   Radio b(&sim, channel.get(), 2, config);
   std::vector<SimTime> deliveries;
   b.SetReceiveCallback(
-      [&](NodeId, const std::vector<uint8_t>&) { deliveries.push_back(sim.now()); });
+      [&](NodeId, const WireBody&) { deliveries.push_back(sim.now()); });
   // Send mid-sleep (t = 0.5 s): the frame must wait for the 1.0 s window.
   sim.At(500 * kMillisecond, [&a] { a.SendMessage(kBroadcastId, std::vector<uint8_t>(20, 1)); });
   sim.RunUntil(5 * kSecond);
@@ -684,7 +673,7 @@ TEST(DutyCycleTest, SleepingReceiverPaysNoReceiveTime) {
   Radio sender(&sim, channel.get(), 1, awake_config);
   Radio sleeper(&sim, channel.get(), 2, sleepy_config);
   int received = 0;
-  sleeper.SetReceiveCallback([&](NodeId, const std::vector<uint8_t>&) { ++received; });
+  sleeper.SetReceiveCallback([&](NodeId, const WireBody&) { ++received; });
   // The always-on sender transmits while the sleeper is off: nothing heard.
   sim.At(500 * kMillisecond, [&sender] {
     sender.SendMessage(kBroadcastId, std::vector<uint8_t>(20, 1));

@@ -11,6 +11,7 @@
 
 #include "src/radio/channel.h"
 #include "src/radio/propagation.h"
+#include "src/radio/wire_body.h"
 #include "src/sim/simulator.h"
 #include "src/util/rng.h"
 
@@ -42,6 +43,13 @@ inline std::unique_ptr<Channel> MakeCliqueChannel(Simulator* sim, size_t count,
     }
   }
   return std::make_unique<Channel>(sim, std::move(topology));
+}
+
+// The bytes a radio delivered, materialized from the received body.
+inline std::vector<uint8_t> BodyBytes(const WireBody& body) {
+  std::vector<uint8_t> bytes;
+  body.AppendBytes(&bytes);
+  return bytes;
 }
 
 // Radio configuration for protocol tests: fast enough that multi-minute
