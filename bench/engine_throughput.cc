@@ -34,12 +34,12 @@
 #include <chrono>
 #include <cstdio>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/bench_flags.h"
 #include "bench/bench_json.h"
 #include "bench/replicate.h"
+#include "src/sim/available_cpus.h"
 #include "src/testbed/experiments.h"
 
 namespace diffusion {
@@ -168,9 +168,9 @@ int Main(int argc, char** argv) {
       events += result.events_executed;
     }
     const double events_per_sec = seconds > 0.0 ? static_cast<double>(events) / seconds : 0.0;
-    const unsigned threads_available = std::thread::hardware_concurrency();
+    const unsigned threads_available = AvailableCpus();
     std::printf("\n%-28s  %16.0f   events/sec\n", "engine", events_per_sec);
-    std::printf("%-28s  %16u\n", "hardware threads", threads_available);
+    std::printf("%-28s  %16u\n", "available CPUs", threads_available);
     results.push_back({"events_per_sec", "events/s", events_per_sec});
     results.push_back({"threads_available", "count", static_cast<double>(threads_available)});
   }

@@ -189,17 +189,21 @@ cmp build/engine_j1.json build/engine_j8.json
 # Sharded-engine gates (docs/PERFORMANCE.md). The bench loop refreshed
 # BENCH_parallel.json; hold it to the schema, rerun its deterministic
 # section (every row must match), and hold it to the 4-thread speedup
-# ratchet (waived automatically when the file was recorded on fewer than 4
-# hardware threads — determinism is still enforced).
+# ratchet (waived automatically when the file was recorded with fewer than 4
+# CPUs in its affinity mask — determinism is still enforced).
 ./build/bench/parallel_scaling --check=BENCH_parallel.json --require-speedup=2.0
 
 # Sharded-engine determinism gate: a single 10k-node run's deterministic
 # section (event counts, bytes, border frames, trace fingerprint) is
-# byte-identical at --threads=1 and --threads=8.
+# byte-identical at --threads=1, 3 and 8. Three threads do not divide the
+# 16 regions, so every window mixes home and stolen regions.
 ./build/bench/parallel_scaling --deterministic-only --threads=1 \
   --out=build/parallel_t1.json >/dev/null
+./build/bench/parallel_scaling --deterministic-only --threads=3 \
+  --out=build/parallel_t3.json >/dev/null
 ./build/bench/parallel_scaling --deterministic-only --threads=8 \
   --out=build/parallel_t8.json >/dev/null
+cmp build/parallel_t1.json build/parallel_t3.json
 cmp build/parallel_t1.json build/parallel_t8.json
 
 # Parallel replication must not change results: the Figure-8 sweep's bench

@@ -58,14 +58,15 @@ class RegionBridge : public RegionCoupler {
 
  private:
   // One per region; forwards transmissions into the bridge with the region
-  // id attached. Runs on the region's worker thread.
+  // id attached. Runs on the thread that claimed the region for the window.
   class Observer : public TransmitObserver {
    public:
     Observer(RegionBridge* bridge, int region) : bridge_(bridge), region_(region) {}
     void OnTransmit(NodeId sender, const Fragment& fragment, SimTime start,
                     SimDuration duration) override {
-      // Channel::Transmit runs on the owning region's worker thread, which
-      // makes this thread the mailbox writer for src_region (= region_).
+      // Channel::Transmit runs on the thread that claimed the region for
+      // this window, which makes it the mailbox writer for src_region
+      // (= region_) until the barrier.
       // Deleting this Assert fails the clang -Wthread-safety build: the
       // OnRegionTransmit call below REQUIRES the writer role.
       bridge_->pool_.writer_role().Assert();

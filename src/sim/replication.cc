@@ -4,6 +4,7 @@
 #include <exception>
 #include <thread>
 
+#include "src/sim/available_cpus.h"
 #include "src/trace/trace_writer.h"
 #include "src/util/logging.h"
 
@@ -13,8 +14,7 @@ unsigned ReplicationPool::ResolveJobs(unsigned jobs) {
   if (jobs != 0) {
     return jobs;
   }
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw != 0 ? hw : 1;
+  return AvailableCpus();
 }
 
 void ReplicationPool::Run(size_t count, const std::function<void(size_t)>& task) {

@@ -42,10 +42,10 @@ class ReplicationCancelled : public std::runtime_error {
 
 class ReplicationPool {
  public:
-  // jobs == 0 picks the hardware concurrency (at least 1).
+  // jobs == 0 picks the CPUs this process may run on (AvailableCpus()).
   explicit ReplicationPool(unsigned jobs = 0) : jobs_(ResolveJobs(jobs)) {}
 
-  // 0 -> std::thread::hardware_concurrency() (1 if that reports 0).
+  // 0 -> AvailableCpus() (at least 1).
   static unsigned ResolveJobs(unsigned jobs);
 
   unsigned jobs() const { return jobs_; }

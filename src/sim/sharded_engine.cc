@@ -2,6 +2,9 @@
 
 #include <algorithm>
 
+#include "src/sim/available_cpus.h"
+#include "src/util/host_clock.h"
+
 namespace diffusion {
 
 uint64_t RegionSeed(uint64_t seed, int region) {
@@ -16,36 +19,62 @@ uint64_t RegionSeed(uint64_t seed, int region) {
   return z ^ (z >> 31);
 }
 
+namespace {
+
+// Rounds a waiter yields before it parks on the atomic. Yielding, rather
+// than a pause loop, keeps an oversubscribed run (more threads than CPUs)
+// from burning the CPU the thread it waits for needs; ~200 rounds cover the
+// barrier's serial section on a busy window, so a waiter rarely parks.
+constexpr int kSpinRounds = 200;
+
+// Epoch value that tells workers to exit; window epochs count up from 1.
+constexpr uint64_t kStopEpoch = ~uint64_t{0};
+
+// The first value of `atomic` that differs from `old` (acquire): yields for
+// kSpinRounds rounds, then parks in std::atomic::wait.
+template <typename T>
+T AwaitChange(const std::atomic<T>& atomic, T old) {
+  for (int round = 0;; ++round) {
+    const T value = atomic.load(std::memory_order_acquire);
+    if (value != old) {
+      return value;
+    }
+    if (round < kSpinRounds) {
+      std::this_thread::yield();
+    } else {
+      atomic.wait(old, std::memory_order_acquire);
+    }
+  }
+}
+
+}  // namespace
+
 unsigned ShardedEngine::ResolveThreads(const ShardedEngineConfig& config) {
   const int regions = std::max(1, config.regions);
-  const unsigned threads =
-      config.threads == 0 ? std::thread::hardware_concurrency() : config.threads;
+  const unsigned threads = config.threads == 0 ? AvailableCpus() : config.threads;
   return std::max(1u, std::min(threads, static_cast<unsigned>(regions)));
 }
 
 ShardedEngine::ShardedEngine(const ShardedEngineConfig& config)
     : window_(config.window > 0 ? config.window : 1 * kMillisecond),
-      threads_(ResolveThreads(config)) {
+      threads_(ResolveThreads(config)),
+      slots_(static_cast<size_t>(std::max(1, config.regions))) {
   const int regions = std::max(1, config.regions);
   sims_.reserve(static_cast<size_t>(regions));
   for (int r = 0; r < regions; ++r) {
     sims_.push_back(std::make_unique<Simulator>(RegionSeed(config.seed, r)));
   }
-  events_by_region_.assign(static_cast<size_t>(regions), 0);
-  worker_errors_.assign(static_cast<size_t>(regions), nullptr);
-  // Workers handle tids [0, threads-1); the barrier thread runs the last
-  // share inline. threads==1 spawns nothing and runs regions in order.
+  thread_busy_ns_.assign(threads_, 0);
+  // Workers are tids [0, threads-1); the barrier thread claims as the last
+  // tid inline. threads==1 spawns nothing and runs regions in order.
   for (unsigned tid = 0; tid + 1 < threads_; ++tid) {
     workers_.emplace_back([this, tid] { WorkerLoop(tid); });
   }
 }
 
 ShardedEngine::~ShardedEngine() {
-  {
-    MutexLock lock(mu_);
-    stop_ = true;
-  }
-  start_cv_.notify_all();
+  epoch_.store(kStopEpoch, std::memory_order_release);
+  epoch_.notify_all();
   for (std::thread& worker : workers_) {
     worker.join();
   }
@@ -64,15 +93,39 @@ void ShardedEngine::set_merged_trace_sink(TraceSink* sink) {
   }
 }
 
-void ShardedEngine::RunShare(unsigned tid, SimTime bound) {
-  // Static assignment: region r belongs to thread (r % threads). Ownership
-  // never changes mid-run, so a region's scheduler, arena and RNG are only
-  // ever touched by one thread inside a window.
-  for (size_t r = tid; r < sims_.size(); r += threads_) {
-    try {
-      events_by_region_[r] += sims_[r]->RunUntil(bound - 1);
-    } catch (...) {
-      worker_errors_[r] = std::current_exception();
+void ShardedEngine::TryRunRegion(size_t region, unsigned tid, uint64_t epoch) {
+  // Relaxed is enough: the acquire of `epoch` already ordered this thread
+  // after the barrier's writes, and the claim only has to be exclusive.
+  RegionSlot& slot = slots_[region];
+  uint64_t last = slot.claim.load(std::memory_order_relaxed);
+  if (last >= epoch ||
+      !slot.claim.compare_exchange_strong(last, epoch, std::memory_order_relaxed)) {
+    return;
+  }
+  const uint64_t start = HostNowNs();
+  try {
+    slot.events += sims_[region]->RunUntil(bound_ - 1);
+  } catch (...) {
+    slot.error = std::current_exception();
+  }
+  slot.busy_ns = HostNowNs() - start;
+  slot.claimant = tid;
+  if (pending_.fetch_sub(1, std::memory_order_release) == 1) {
+    pending_.notify_one();
+  }
+}
+
+void ShardedEngine::RunClaims(unsigned tid, uint64_t epoch) {
+  // Home regions first, so a region stays on one core while the load is
+  // even; then steal from the top down, meeting the home threads (which
+  // walk their regions upward) from the other end.
+  const size_t regions = sims_.size();
+  for (size_t r = tid; r < regions; r += threads_) {
+    TryRunRegion(r, tid, epoch);
+  }
+  for (size_t r = regions; r-- > 0;) {
+    if (r % threads_ != tid) {
+      TryRunRegion(r, tid, epoch);
     }
   }
 }
@@ -80,51 +133,36 @@ void ShardedEngine::RunShare(unsigned tid, SimTime bound) {
 void ShardedEngine::WorkerLoop(unsigned tid) {
   uint64_t seen = 0;
   for (;;) {
-    SimTime bound;
-    {
-      MutexLock lock(mu_);
-      while (!stop_ && generation_ == seen) {
-        lock.Wait(start_cv_);
-      }
-      if (stop_) {
-        return;
-      }
-      seen = generation_;
-      bound = bound_;
+    seen = AwaitChange(epoch_, seen);
+    if (seen == kStopEpoch) {
+      return;
     }
-    RunShare(tid, bound);
-    bool last = false;
-    {
-      MutexLock lock(mu_);
-      last = --running_ == 0;
-    }
-    if (last) {
-      done_cv_.notify_one();
-    }
+    RunClaims(tid, seen);
   }
 }
 
 void ShardedEngine::RunWindow(SimTime bound) {
-  if (threads_ == 1) {
-    RunShare(0, bound);
-  } else {
-    {
-      MutexLock lock(mu_);
-      bound_ = bound;
-      running_ = threads_ - 1;
-      ++generation_;
-    }
-    start_cv_.notify_all();
-    RunShare(threads_ - 1, bound);
-    MutexLock lock(mu_);
-    while (running_ != 0) {
-      lock.Wait(done_cv_);
+  const uint64_t start = HostNowNs();
+  bound_ = bound;
+  pending_.store(regions(), std::memory_order_relaxed);
+  const uint64_t epoch = epoch_.load(std::memory_order_relaxed) + 1;
+  epoch_.store(epoch, std::memory_order_release);
+  epoch_.notify_all();
+  RunClaims(threads_ - 1, epoch);
+  for (int left = pending_.load(std::memory_order_acquire); left != 0;) {
+    left = AwaitChange(pending_, left);
+  }
+  window_ns_ += HostNowNs() - start;
+  for (size_t r = 0; r < slots_.size(); ++r) {
+    thread_busy_ns_[slots_[r].claimant] += slots_[r].busy_ns;
+    if (slots_[r].claimant != r % threads_) {
+      ++regions_stolen_;
     }
   }
-  for (size_t r = 0; r < worker_errors_.size(); ++r) {
-    if (worker_errors_[r] != nullptr) {
-      std::exception_ptr error = worker_errors_[r];
-      worker_errors_[r] = nullptr;
+  for (RegionSlot& slot : slots_) {
+    if (slot.error != nullptr) {
+      std::exception_ptr error = slot.error;
+      slot.error = nullptr;
       std::rethrow_exception(error);
     }
   }
@@ -208,10 +246,30 @@ uint64_t ShardedEngine::RunUntil(SimTime end) {
 
 uint64_t ShardedEngine::events_executed() const {
   uint64_t total = 0;
-  for (uint64_t events : events_by_region_) {
-    total += events;
+  for (const RegionSlot& slot : slots_) {
+    total += slot.events;
   }
   return total;
+}
+
+ShardedEngine::HostTiming ShardedEngine::host_timing() const {
+  HostTiming timing;
+  timing.busy_ns = thread_busy_ns_;
+  for (uint64_t busy : thread_busy_ns_) {
+    timing.wait_ns.push_back(window_ns_ > busy ? window_ns_ - busy : 0);
+  }
+  timing.regions_stolen = regions_stolen_;
+  return timing;
+}
+
+double ShardedEngine::HostTiming::barrier_wait_share() const {
+  uint64_t busy = 0;
+  uint64_t wait = 0;
+  for (size_t t = 0; t < busy_ns.size(); ++t) {
+    busy += busy_ns[t];
+    wait += wait_ns[t];
+  }
+  return busy + wait > 0 ? static_cast<double>(wait) / static_cast<double>(busy + wait) : 0.0;
 }
 
 }  // namespace diffusion

@@ -16,17 +16,26 @@
 //
 // Determinism contract (the DL003 guarantee ReplicationPool defends for
 // replicates, extended to one run): the engine's output — every region's
-// event stream, the merged trace, all statistics — is a pure function of
-// (construction order, seed, regions, window). The thread count only decides
-// which worker advances which region between barriers; regions never share
-// mutable state inside a window, so output is byte-identical at any thread
-// count, including threads=1. A one-region engine degenerates to the
-// sequential Simulator exactly (region 0 keeps the run seed).
+// event stream, the merged trace, all statistics except host_timing(), which
+// measures the host — is a pure function of (construction order, seed,
+// regions, window). The thread count and the
+// host's scheduling only decide which worker advances which region inside a
+// window; regions never share mutable state inside a window, so output is
+// byte-identical at any thread count, including threads=1. A one-region
+// engine degenerates to the sequential Simulator exactly (region 0 keeps the
+// run seed).
+//
+// Host scheduling: inside a window every region is run by exactly one
+// thread, its claimant. A thread first claims its home regions
+// (region % threads == tid, so a region usually stays on one core), then
+// steals whatever is still unclaimed, scanning from the highest region down.
+// A window whose load sits in a few regions therefore spreads over all
+// threads instead of waiting on the one that owns them.
 
 #ifndef SRC_SIM_SHARDED_ENGINE_H_
 #define SRC_SIM_SHARDED_ENGINE_H_
 
-#include <condition_variable>
+#include <atomic>
 #include <cstdint>
 #include <exception>
 #include <memory>
@@ -35,7 +44,6 @@
 
 #include "src/sim/simulator.h"
 #include "src/trace/trace.h"
-#include "src/util/mutex.h"
 #include "src/util/thread_annotations.h"
 #include "src/util/time.h"
 
@@ -63,7 +71,7 @@ uint64_t RegionSeed(uint64_t seed, int region);
 struct ShardedEngineConfig {
   int regions = 1;
   // Worker threads advancing regions between barriers; 0 means
-  // std::thread::hardware_concurrency(). Clamped to the region count. Output
+  // AvailableCpus() (the affinity mask). Clamped to the region count. Output
   // is identical for every value.
   unsigned threads = 1;
   // Conservative lookahead window (must be positive).
@@ -112,10 +120,30 @@ class ShardedEngine {
   // calls over the same span.
   uint64_t windows_run() const { return windows_run_; }
 
+  // Host wall-clock instruments (src/util/host_clock.h) for the windows run
+  // since construction. They describe how the host scheduled regions, differ
+  // on every run, and never reach a trace, a fingerprint or a deterministic
+  // bench row. A window's span is publish to last region done, on the
+  // barrier thread; the serial barrier work between windows is in no span.
+  struct HostTiming {
+    // Per thread, the barrier thread last: ns spent running claimed regions.
+    std::vector<uint64_t> busy_ns;
+    // Per thread: ns of window span spent not running a region — wake
+    // latency at the barrier plus load imbalance.
+    std::vector<uint64_t> wait_ns;
+    // Region runs by a thread other than the region's home thread.
+    uint64_t regions_stolen = 0;
+
+    // Σ wait_ns / Σ (busy_ns + wait_ns); 0 before the first window.
+    double barrier_wait_share() const;
+  };
+  HostTiming host_timing() const;
+
  private:
   static unsigned ResolveThreads(const ShardedEngineConfig& config);
 
-  void RunShare(unsigned tid, SimTime bound);
+  void RunClaims(unsigned tid, uint64_t epoch);
+  void TryRunRegion(size_t region, unsigned tid, uint64_t epoch);
   void RunWindow(SimTime bound);
   void MergeTraces();             // barrier thread only
   SimTime NextEventTime() const;  // earliest pending event, any region
@@ -124,10 +152,9 @@ class ShardedEngine {
   const SimDuration window_;
   const unsigned threads_;
   // Each region's simulator (and its per-region slots below) is touched by
-  // exactly one worker inside a window; the barrier's mutex handoff
-  // publishes it to the next owner between windows.
+  // one thread at a time: its claimant inside a window, the barrier thread
+  // between windows. The epoch_/pending_ handoff below orders the two.
   std::vector<std::unique_ptr<Simulator>> sims_ DIFFUSION_REGION_PINNED;
-  std::vector<uint64_t> events_by_region_ DIFFUSION_REGION_PINNED;
   RegionCoupler* coupler_ DIFFUSION_BARRIER_OWNED = nullptr;
 
   TraceSink* merged_sink_ DIFFUSION_BARRIER_OWNED = nullptr;
@@ -142,21 +169,37 @@ class ShardedEngine {
   SimTime cursor_ DIFFUSION_BARRIER_OWNED = 0;  // start of the next window
   uint64_t windows_run_ DIFFUSION_BARRIER_OWNED = 0;
 
-  // Barrier state. Workers advance their statically assigned regions
-  // (region % threads == tid) when `generation_` moves, then decrement
-  // `running_`; the mutex hand-offs give every cross-thread access to the
-  // region simulators a happens-before edge in both directions.
-  Mutex mu_;
-  std::condition_variable start_cv_;
-  std::condition_variable done_cv_;
-  uint64_t generation_ DIFFUSION_GUARDED_BY(mu_) = 0;
-  SimTime bound_ DIFFUSION_GUARDED_BY(mu_) = 0;
-  unsigned running_ DIFFUSION_GUARDED_BY(mu_) = 0;
-  bool stop_ DIFFUSION_GUARDED_BY(mu_) = false;
-  // One slot per region, written by the region's owner inside RunShare and
-  // read by the barrier thread after the window joins — region-pinned, like
-  // the simulators whose exceptions it carries.
-  std::vector<std::exception_ptr> worker_errors_ DIFFUSION_REGION_PINNED;
+  // Barrier. The barrier thread writes everything a window needs (the
+  // regions' drained mailboxes, bound_, pending_), then publishes the window
+  // by a release store of the next `epoch_`; claimants acquire it. Each
+  // claimant hands its region back with a release decrement of `pending_`,
+  // and the barrier thread's acquire read of 0 ends the window. Both sides
+  // spin briefly, then park on the atomic (std::atomic::wait).
+  alignas(64) std::atomic<uint64_t> epoch_{0};
+  alignas(64) std::atomic<int> pending_{0};  // regions of the window not yet done
+  // Exclusive end of the window of the current epoch. A claimant reads it
+  // only after claiming a region: from then until its decrement the window
+  // cannot end, so the barrier thread cannot rewrite it.
+  SimTime bound_ DIFFUSION_BARRIER_OWNED = 0;
+  // Per-region window state, one cache line per region so the claimants of
+  // neighbouring regions do not false-share. `claim` is the epoch the region
+  // was last claimed in: a thread claims it for epoch e by moving it from
+  // below e to e, so every region has exactly one claimant per window, and a
+  // thread that wakes after its window ended claims nothing. The claimant
+  // writes the other fields before it decrements pending_; the barrier
+  // thread reads them after the window.
+  struct alignas(64) RegionSlot {
+    std::atomic<uint64_t> claim{0};
+    unsigned claimant = 0;          // thread that ran the region last window
+    uint64_t events = 0;            // events executed since construction
+    uint64_t busy_ns = 0;           // host ns the last window's run took
+    std::exception_ptr error;       // escaped the last window's run
+  };
+  std::vector<RegionSlot> slots_ DIFFUSION_REGION_PINNED;
+  // HostTiming totals, accumulated by the barrier thread after each window.
+  uint64_t window_ns_ DIFFUSION_BARRIER_OWNED = 0;
+  std::vector<uint64_t> thread_busy_ns_ DIFFUSION_BARRIER_OWNED;
+  uint64_t regions_stolen_ DIFFUSION_BARRIER_OWNED = 0;
   std::vector<std::thread> workers_;
 };
 

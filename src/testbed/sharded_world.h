@@ -37,7 +37,7 @@ struct ShardedWorldParams {
   // Target region count (the actual grid may be slightly smaller; see
   // RegionMap). 1 degenerates to the sequential engine.
   int regions = 4;
-  // Worker threads; 0 = hardware concurrency. Output is identical for every
+  // Worker threads; 0 = AvailableCpus(). Output is identical for every
   // value (the determinism contract in src/sim/sharded_engine.h).
   unsigned threads = 1;
   // Conservative lookahead window; 0 picks max(min frame airtime, 1 ms) —

@@ -12,9 +12,13 @@
 // Idiomatic wait loop (the predicate reads mu_-guarded members, which the
 // analysis can check because MutexLock holds mu_ for the whole block):
 //
+//   Mutex mu_;
+//   std::condition_variable ready_cv_;
+//   bool ready_ DIFFUSION_GUARDED_BY(mu_) = false;
+//
 //   MutexLock lock(mu_);
-//   while (!stop_ && generation_ == seen) {
-//     lock.Wait(start_cv_);
+//   while (!ready_) {
+//     lock.Wait(ready_cv_);
 //   }
 
 #ifndef SRC_UTIL_MUTEX_H_

@@ -86,8 +86,8 @@
 
 // ---- ownership markers (read by diffusion-lint DL008; never compiled) ---
 
-// Member touched only by the worker thread that owns its region (static
-// region->thread assignment) inside a window; the barrier's mutex handoff
+// Member touched only by its region's claimant inside a window (exactly one
+// thread per region per window); the barrier's atomic epoch/pending handoff
 // publishes it between windows. Not a lock: clang cannot express "one
 // distinct owner per array element", so DL008 accepts this marker instead.
 #define DIFFUSION_REGION_PINNED

@@ -9,12 +9,18 @@
 //       node failures mid-window).
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
+
+#if defined(__linux__)
+#include <sched.h>
+#endif
 
 #include <gtest/gtest.h>
 
@@ -24,12 +30,14 @@
 #include "src/radio/region_mailbox.h"
 #include "src/radio/region_map.h"
 #include "src/radio/wire_body.h"
+#include "src/sim/available_cpus.h"
 #include "src/sim/sharded_engine.h"
 #include "src/testbed/sharded_world.h"
 #include "src/testbed/topology.h"
 #include "src/trace/metrics.h"
 #include "src/trace/trace.h"
 #include "src/util/arena.h"
+#include "src/util/host_clock.h"
 
 // Death tests fork (or clone) the process; TSan instrumented binaries do not
 // support that, and the parallel suite runs under TSan in CI.
@@ -519,6 +527,163 @@ TEST(ShardedEngineTest, IdleWindowSkipKeepsTheTrimmedFinalWindow) {
     EXPECT_EQ(engine.windows_run(), 2u);
   }
 }
+
+TEST(ShardedEngineTest, LowestRegionErrorRethrowsOnTheCaller) {
+  // Events in regions 2 and 5 throw in the same window. Whichever threads
+  // claimed them, the window still ends (region 7's event runs), RunUntil
+  // rethrows region 2's error on the calling thread, and the engine then
+  // shuts its workers down.
+  for (unsigned threads : {1u, 2u, 4u}) {
+    ShardedEngineConfig config;
+    config.regions = 8;
+    config.threads = threads;
+    config.window = 10 * kMillisecond;
+    auto engine = std::make_unique<ShardedEngine>(config);
+    for (int region : {5, 2}) {
+      engine->region_sim(region).At(15 * kMillisecond, [region] {
+        throw std::runtime_error("region " + std::to_string(region));
+      });
+    }
+    std::atomic<int> bystander{0};
+    engine->region_sim(7).At(15 * kMillisecond, [&bystander] { ++bystander; });
+    try {
+      engine->RunUntil(100 * kMillisecond);
+      ADD_FAILURE() << "no error at " << threads << " threads";
+    } catch (const std::runtime_error& error) {
+      EXPECT_STREQ(error.what(), "region 2") << threads << " threads";
+    }
+    EXPECT_EQ(bystander.load(), 1) << threads << " threads";
+    engine.reset();  // joins the workers: a lost wake-up hangs here
+  }
+}
+
+TEST(ShardedEngineTest, SkewedLoadIsDeterministicAndRunsEachRegionOncePerWindow) {
+  // Region 0 holds almost every event. With more than one thread, region
+  // 0's last event of each window also holds its claimant until every other
+  // region's marker of that window has run, so the other regions — region
+  // 0's home siblings included — must be claimed by other threads: at least
+  // one region is stolen in every window. Events, windows, the merged trace
+  // and the markers must not depend on the thread count, and each region's
+  // marker must run exactly once per window whichever thread claimed it.
+  static constexpr int kRegions = 16;
+  static constexpr int kWindows = 40;
+  static constexpr SimDuration kWindow = 1 * kMillisecond;
+  static constexpr int kLoadPerWindow = 200;
+  struct Outcome {
+    uint64_t events = 0;
+    uint64_t windows = 0;
+    uint64_t fingerprint = 0;
+    uint64_t trace_events = 0;
+  };
+  auto run = [&](unsigned threads) {
+    ShardedEngineConfig config;
+    config.regions = kRegions;
+    config.threads = threads;
+    config.window = kWindow;
+    config.seed = 5;
+    ShardedEngine engine(config);
+    FingerprintTraceSink trace;
+    engine.set_merged_trace_sink(&trace);
+    // markers[w][r]: runs of region r's marker in window w. Each element is
+    // written only by its region's claimant.
+    std::vector<std::array<int, kRegions>> markers(kWindows);
+    std::vector<std::atomic<int>> others_done(kWindows);
+    bool timed_out = false;  // region 0 only
+    for (int w = 0; w < kWindows; ++w) {
+      const SimTime start = w * kWindow;
+      for (int r = 0; r < kRegions; ++r) {
+        Simulator& sim = engine.region_sim(r);
+        sim.At(start + r, [&markers, &others_done, &sim, w, r] {
+          ++markers[static_cast<size_t>(w)][static_cast<size_t>(r)];
+          sim.Trace(TraceEvent{sim.now(), TraceEventKind::kDataForward, static_cast<NodeId>(r)});
+          if (r != 0) {
+            others_done[static_cast<size_t>(w)].fetch_add(1, std::memory_order_release);
+          }
+        });
+      }
+      Simulator& heavy = engine.region_sim(0);
+      for (int i = 0; i < kLoadPerWindow; ++i) {
+        heavy.At(start + 100 + i, [&heavy, i] {
+          heavy.Trace(TraceEvent{heavy.now(), TraceEventKind::kDataReceived, 0, kBroadcastId,
+                                 static_cast<uint64_t>(i), static_cast<int64_t>(heavy.rng().Next())});
+        });
+      }
+      // One thread runs every region in turn, so there is nothing to hold
+      // for (and waiting would never end); the event still runs.
+      const bool hold = threads > 1;
+      heavy.At(start + kWindow - 1, [&others_done, &timed_out, hold, w] {
+        const uint64_t deadline = HostNowNs() + 10'000'000'000ULL;
+        while (hold && others_done[static_cast<size_t>(w)].load(std::memory_order_acquire) <
+                           kRegions - 1) {
+          if (HostNowNs() > deadline) {
+            timed_out = true;
+            return;
+          }
+          std::this_thread::yield();
+        }
+      });
+    }
+    Outcome outcome;
+    outcome.events = engine.RunUntil(kWindows * kWindow - 1);
+    outcome.windows = engine.windows_run();
+    outcome.fingerprint = trace.fingerprint();
+    outcome.trace_events = trace.count();
+    EXPECT_FALSE(timed_out) << threads << " threads";
+    for (int w = 0; w < kWindows; ++w) {
+      for (int r = 0; r < kRegions; ++r) {
+        EXPECT_EQ(markers[static_cast<size_t>(w)][static_cast<size_t>(r)], 1)
+            << "window " << w << " region " << r << " at " << threads << " threads";
+      }
+    }
+    const ShardedEngine::HostTiming timing = engine.host_timing();
+    EXPECT_EQ(timing.busy_ns.size(), engine.threads());
+    if (threads > 1) {
+      EXPECT_GE(timing.regions_stolen, engine.windows_run()) << threads << " threads";
+    } else {
+      EXPECT_EQ(timing.regions_stolen, 0u);
+    }
+    return outcome;
+  };
+  const Outcome reference = run(1);
+  EXPECT_EQ(reference.windows, static_cast<uint64_t>(kWindows));
+  EXPECT_EQ(reference.trace_events,
+            static_cast<uint64_t>(kWindows) * (kRegions + kLoadPerWindow));
+  for (unsigned threads : {2u, 3u, 4u, 8u}) {
+    const Outcome outcome = run(threads);
+    EXPECT_EQ(outcome.events, reference.events) << threads << " threads";
+    EXPECT_EQ(outcome.windows, reference.windows) << threads << " threads";
+    EXPECT_EQ(outcome.fingerprint, reference.fingerprint) << threads << " threads";
+    EXPECT_EQ(outcome.trace_events, reference.trace_events) << threads << " threads";
+  }
+}
+
+#if defined(__linux__)
+TEST(AvailableCpusTest, CountsTheAffinityMask) {
+  // Narrow this thread's affinity mask to one CPU: AvailableCpus() and an
+  // engine asked for threads=0 must follow it, not the machine's CPU count.
+  cpu_set_t saved;
+  CPU_ZERO(&saved);
+  ASSERT_EQ(sched_getaffinity(0, sizeof saved, &saved), 0);
+  EXPECT_EQ(AvailableCpus(), static_cast<unsigned>(CPU_COUNT(&saved)));
+  int first = 0;
+  while (!CPU_ISSET(first, &saved)) {
+    ++first;
+  }
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(first, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof one, &one), 0);
+  const unsigned narrowed = AvailableCpus();
+  ShardedEngineConfig config;
+  config.regions = 4;
+  config.threads = 0;
+  const unsigned engine_threads = ShardedEngine(config).threads();
+  ASSERT_EQ(sched_setaffinity(0, sizeof saved, &saved), 0);  // restore before asserting
+  EXPECT_EQ(narrowed, 1u);
+  EXPECT_EQ(engine_threads, 1u);
+  EXPECT_EQ(AvailableCpus(), static_cast<unsigned>(CPU_COUNT(&saved)));
+}
+#endif
 
 TEST(ShardedWorldTest, OneRunUntilMatchesWindowByWindow) {
   // One RunUntil(end) and a caller stepping window by window (as a profiler
