@@ -10,13 +10,13 @@
 //     traffic experiment and the energy estimate.
 
 #include <cstdio>
-#include <map>
 #include <memory>
+#include <vector>
 
 #include "src/apps/surveillance.h"
-#include "src/core/node.h"
 #include "src/filters/duplicate_suppression_filter.h"
 #include "src/radio/energy.h"
+#include "src/testbed/sharded_world.h"
 #include "src/testbed/topology.h"
 
 namespace diffusion {
@@ -43,34 +43,29 @@ int Main() {
   std::printf("radios like WINSng reach 10-15%% — hence energy-conserving MACs matter.)\n\n");
 
   // Measured shares from a short simulated aggregation run.
-  Simulator sim(99);
-  const TestbedLayout layout = IsiTestbedLayout();
-  Channel channel(&sim, MakePropagation(layout, 0.98));
   DiffusionConfig dconfig;
   dconfig.forward_delay_jitter = 300 * kMillisecond;
-  const RadioConfig rconfig = TestbedRadioConfig();
-  std::map<NodeId, std::unique_ptr<DiffusionNode>> nodes;
-  for (NodeId id : layout.node_ids) {
-    nodes[id] = std::make_unique<DiffusionNode>(&sim, &channel, id, NodeOptions{.diffusion = dconfig, .radio = rconfig});
-  }
+  ShardedWorld world(IsiTestbedLayout(),
+                     {.regions = 1, .seed = 99, .diffusion = dconfig, .radio = TestbedRadioConfig()});
+  const auto& nodes = world.nodes();
   SurveillanceConfig sconfig;
   std::vector<std::unique_ptr<DuplicateSuppressionFilter>> filters;
   for (auto& [id, node] : nodes) {
     filters.push_back(std::make_unique<DuplicateSuppressionFilter>(
         node.get(), SurveillanceDataFilterAttrs(sconfig), 10));
   }
-  SurveillanceSink sink(nodes.at(kIsiSinkNode).get(), sconfig);
+  SurveillanceSink sink(world.node(kIsiSinkNode), sconfig);
   std::vector<std::unique_ptr<SurveillanceSource>> sources;
   for (NodeId id : kIsiSourceNodes) {
     sources.push_back(
-        std::make_unique<SurveillanceSource>(nodes.at(id).get(), sconfig, static_cast<int32_t>(id)));
+        std::make_unique<SurveillanceSource>(world.node(id), sconfig, static_cast<int32_t>(id)));
   }
   sink.Start();
   for (auto& source : sources) {
     source->Start();
   }
   const SimDuration run_time = 10 * kMinute;
-  sim.RunUntil(run_time);
+  world.RunUntil(run_time);
 
   TimeShares measured{0, 0, 0};
   for (auto& [id, node] : nodes) {

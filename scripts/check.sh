@@ -146,6 +146,13 @@ note_ran tests
 # without a deliberate rebaseline of the file.
 ./build/bench/engine_throughput --check=BENCH_engine.json
 
+# Runner oracle independent of ShardedWorld: perfbench hand-builds its own
+# testbed world and exits 1 (correct=false) unless RunFig8 and
+# RunCongestionScenario reproduce its events, bytes, deliveries and trace
+# fingerprint.
+python3 perfbench/run.py --workload testbed14 --seed 1 --seconds 1 --trace 0
+python3 perfbench/run.py --workload testbed14_overload --seed 1 --seconds 1 --trace 0
+
 for b in build/bench/*; do
   echo "===== $b"
   "$b"

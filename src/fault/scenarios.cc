@@ -14,6 +14,7 @@
 #include "src/fault/fault_overlay.h"
 #include "src/fault/recovery.h"
 #include "src/filters/duplicate_suppression_filter.h"
+#include "src/testbed/sharded_world.h"
 #include "src/testbed/topology.h"
 #include "src/trace/trace_writer.h"
 
@@ -104,39 +105,39 @@ FaultPlan BuiltinScenarioPlan(const FaultScenarioParams& params) {
 }
 
 FaultScenarioResult RunFaultScenario(const FaultScenarioParams& params) {
-  // Writer first so it outlives the simulator (teardown may still trace).
+  // Writer first so it outlives the world (teardown may still trace).
   std::unique_ptr<TraceWriter> trace_writer;
   TraceSink* trace_sink = ResolveTraceSink(params.trace_sink, params.trace_out, &trace_writer);
   RecoveryObserver observer(kIsiSinkNode);
   TeeTraceSink tee(trace_sink, &observer);
 
-  Simulator sim(params.seed);
-  sim.set_trace_sink(&tee);
-
   const TestbedLayout layout = IsiTestbedLayout();
-  auto overlay =
-      std::make_unique<FaultOverlayPropagation>(MakePropagation(layout, params.link_delivery));
-  FaultOverlayPropagation* overlay_ptr = overlay.get();
-  Channel channel(&sim, std::move(overlay));
-
   DiffusionConfig dconfig;
   dconfig.forward_delay_jitter = 300 * kMillisecond;  // as in RunFig8
-  const RadioConfig rconfig = TestbedRadioConfig();
-
-  std::map<NodeId, std::unique_ptr<DiffusionNode>> nodes;
-  for (NodeId id : layout.node_ids) {
-    nodes[id] = std::make_unique<DiffusionNode>(&sim, &channel, id, NodeOptions{.diffusion = dconfig, .radio = rconfig});
-  }
+  FaultOverlayPropagation* overlay = nullptr;
+  ShardedWorld world(layout, {.regions = 1,
+                              .seed = params.seed,
+                              .diffusion = dconfig,
+                              .radio = TestbedRadioConfig(),
+                              .propagation = [&](int /*region*/) {
+                                auto wrapped = std::make_unique<FaultOverlayPropagation>(
+                                    MakePropagation(layout, params.link_delivery));
+                                overlay = wrapped.get();
+                                return wrapped;
+                              }});
+  // One region traces directly, so the observer sees each event as it runs.
+  world.set_merged_trace_sink(&tee);
+  Simulator& sim = world.sim_of(kIsiSinkNode);
 
   SurveillanceConfig sconfig;
   std::vector<std::unique_ptr<DuplicateSuppressionFilter>> filters;
-  for (auto& [id, node] : nodes) {
+  for (const auto& [id, node] : world.nodes()) {
     filters.push_back(std::make_unique<DuplicateSuppressionFilter>(
         node.get(), SurveillanceDataFilterAttrs(sconfig), 10));
   }
 
-  FaultInjector injector(&sim, &channel, overlay_ptr);
-  for (auto& [id, node] : nodes) {
+  FaultInjector injector(&sim, &world.channel_of(kIsiSinkNode), overlay);
+  for (const auto& [id, node] : world.nodes()) {
     injector.AddNode(node.get());
   }
 
@@ -144,7 +145,7 @@ FaultScenarioResult RunFaultScenario(const FaultScenarioParams& params) {
   // instant (the time-to-repair probe).
   std::map<int64_t, SimTime> first_delivery;
   std::vector<SimTime> delivery_times;
-  (void)nodes.at(kIsiSinkNode)
+  (void)world.node(kIsiSinkNode)
       ->Subscribe(SurveillanceInterestAttrs(sconfig), [&](const AttributeVector& attrs) {
         const Attribute* seq = FindActual(attrs, kKeySequence);
         if (seq == nullptr) {
@@ -161,7 +162,7 @@ FaultScenarioResult RunFaultScenario(const FaultScenarioParams& params) {
   for (int i = 0; i < source_count; ++i) {
     const NodeId id = kIsiSourceNodes[i];
     sources.push_back(
-        std::make_unique<SurveillanceSource>(nodes.at(id).get(), sconfig, static_cast<int32_t>(id)));
+        std::make_unique<SurveillanceSource>(world.node(id), sconfig, static_cast<int32_t>(id)));
   }
   const SimTime source_start = 5 * kSecond;
   for (auto& source : sources) {
@@ -195,7 +196,7 @@ FaultScenarioResult RunFaultScenario(const FaultScenarioParams& params) {
   sim.At(params.fault_at + params.stale_sample_after,
          [&injector, &stale_gradients] { stale_gradients = injector.CountStaleGradients(); });
 
-  sim.RunUntil(params.end_at);
+  world.RunUntil(params.end_at);
 
   // Window accounting over generated event sequences: sequence k is
   // generated at source_start + k * event_interval (sources are

@@ -16,16 +16,19 @@ RegionBridge::RegionBridge(const RegionLinkMatrix* matrix, std::vector<Channel*>
   const int regions = static_cast<int>(channels_.size());
   clamped_by_region_.assign(static_cast<size_t>(regions), 0);
   for (int src = 0; src < regions; ++src) {
+    bool linked_out = false;
     for (int dst = 0; dst < regions; ++dst) {
       if (src != dst && matrix_->Linked(src, dst)) {
         pool_.Link(src, dst);
+        linked_out = true;
       }
     }
-  }
-  observers_.reserve(channels_.size());
-  for (int region = 0; region < regions; ++region) {
-    observers_.push_back(std::make_unique<Observer>(this, region));
-    channels_[static_cast<size_t>(region)]->set_transmit_observer(observers_.back().get());
+    // A region that cannot reach another (every region of a one-region
+    // world) has nothing to post: its channel runs without an observer.
+    if (linked_out) {
+      observers_.push_back(std::make_unique<Observer>(this, src));
+      channels_[static_cast<size_t>(src)]->set_transmit_observer(observers_.back().get());
+    }
   }
 }
 

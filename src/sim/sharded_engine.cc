@@ -81,6 +81,11 @@ ShardedEngine::~ShardedEngine() {
 }
 
 void ShardedEngine::set_merged_trace_sink(TraceSink* sink) {
+  if (sims_.size() == 1) {
+    // Merging one stream gives back that stream: trace straight into `sink`.
+    sims_[0]->set_trace_sink(sink);
+    return;
+  }
   merged_sink_ = sink;
   if (sink != nullptr && region_traces_.empty()) {
     region_traces_.reserve(sims_.size());
@@ -208,6 +213,8 @@ SimTime ShardedEngine::NextEventTime() const {
 uint64_t ShardedEngine::RunUntil(SimTime end) {
   uint64_t before = events_executed();
   while (cursor_ <= end) {
+    // One region has no lookahead to honour: its whole span is one window.
+    const SimDuration window = regions() > 1 ? window_ : end + 1 - cursor_;
     // Jump over windows in which no region has an event: nothing would run,
     // post to a mailbox or trace there. Windows stay on the cursor_ + k·L
     // grid, so the windows that do run are the same ones an engine without
@@ -215,16 +222,16 @@ uint64_t ShardedEngine::RunUntil(SimTime end) {
     // RunUntil(end) and window-by-window calls in agreement on the final
     // window.
     const SimTime next = NextEventTime();
-    if (next >= std::min<SimTime>(cursor_ + window_, end + 1)) {
+    if (next >= std::min<SimTime>(cursor_ + window, end + 1)) {
       if (next > end) {
         cursor_ = end + 1;
         break;
       }
-      cursor_ += (next - cursor_) / window_ * window_;
+      cursor_ += (next - cursor_) / window * window;
     }
     // Half-open window [cursor, bound): RunUntil is inclusive, so regions
     // advance to bound-1. The final window is trimmed to end inclusive.
-    const SimTime bound = std::min<SimTime>(cursor_ + window_, end + 1);
+    const SimTime bound = std::min<SimTime>(cursor_ + window, end + 1);
     RunWindow(bound);
     if (coupler_ != nullptr) {
       for (int r = 0; r < regions(); ++r) {

@@ -21,9 +21,12 @@
 // regions, window). The thread count and the
 // host's scheduling only decide which worker advances which region inside a
 // window; regions never share mutable state inside a window, so output is
-// byte-identical at any thread count, including threads=1. A one-region
-// engine degenerates to the sequential Simulator exactly (region 0 keeps the
-// run seed).
+// byte-identical at any thread count, including threads=1.
+//
+// One region degenerates to the sequential Simulator exactly (region 0 keeps
+// the run seed): with no lookahead to honour, RunUntil(end) runs region 0 to
+// `end` as one window, and set_merged_trace_sink attaches the sink to region
+// 0 directly. Every experiment runner takes this path.
 //
 // Host scheduling: inside a window every region is run by exactly one
 // thread, its claimant. A thread first claims its home regions
@@ -100,16 +103,18 @@ class ShardedEngine {
   // Routes every region's trace into a per-region buffer and merges the
   // buffers into `sink` at each barrier, ordered by (time, region, per-region
   // emission order). The merged stream is invariant under the thread count.
-  // Null detaches tracing. Constant memory: buffers drain every window.
+  // Null detaches tracing. Constant memory: buffers drain every window. One
+  // region traces straight into `sink`, which sees each event as emitted.
   void set_merged_trace_sink(TraceSink* sink);
 
   // Advances every region to `end` inclusive (the Simulator::RunUntil
   // convention) in conservative windows, draining the coupler and merging
   // traces at each barrier. Windows in which no region has an event are
   // skipped without a barrier; the windows that run keep their grid, so
-  // output is the same as running every window. Returns events executed
-  // across all regions during this call. Subsequent calls continue from
-  // where the last ended, and every region's now() reads `end` afterwards.
+  // output is the same as running every window (at one region, the span is
+  // one window). Returns events executed across all regions during this
+  // call. Subsequent calls continue from where the last ended, and every
+  // region's now() reads `end` afterwards.
   uint64_t RunUntil(SimTime end);
 
   // Events executed across all regions since construction.
@@ -117,7 +122,8 @@ class ShardedEngine {
 
   // Windows run (barriers taken) since construction; skipped idle windows
   // are not counted. The same for one RunUntil(end) as for window-by-window
-  // calls over the same span.
+  // calls over the same span, except at one region: one per RunUntil call
+  // with an event to run.
   uint64_t windows_run() const { return windows_run_; }
 
   // Host wall-clock instruments (src/util/host_clock.h) for the windows run

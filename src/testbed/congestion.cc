@@ -10,6 +10,7 @@
 #include "src/apps/surveillance.h"
 #include "src/core/node.h"
 #include "src/filters/duplicate_suppression_filter.h"
+#include "src/testbed/sharded_world.h"
 #include "src/testbed/topology.h"
 #include "src/trace/trace_writer.h"
 
@@ -87,31 +88,25 @@ TrafficPolicy ReferenceShapingPolicy() {
 }
 
 CongestionRunResult RunCongestionScenario(const CongestionRunParams& params) {
-  // Writer first so it outlives the simulator (teardown may still trace).
+  // Writer first so it outlives the world (teardown may still trace).
   std::unique_ptr<TraceWriter> trace_writer;
   TraceSink* trace_sink = ResolveTraceSink(params.trace_sink, params.trace_out, &trace_writer);
 
-  Simulator sim(params.seed);
-  sim.set_trace_sink(trace_sink);
-
   const TestbedLayout layout = IsiTestbedLayout();
-  Channel channel(&sim, MakePropagation(layout, params.link_delivery));
-
   DiffusionConfig dconfig;
   dconfig.forward_delay_jitter = 300 * kMillisecond;  // as in RunFig8
-  const RadioConfig rconfig = TestbedRadioConfig();
-
-  std::map<NodeId, std::unique_ptr<DiffusionNode>> nodes;
-  for (NodeId id : layout.node_ids) {
-    nodes[id] = std::make_unique<DiffusionNode>(
-        &sim, &channel, id,
-        NodeOptions{.diffusion = dconfig, .radio = rconfig, .traffic = params.policy});
-  }
+  const NodeOptions options{
+      .diffusion = dconfig, .radio = TestbedRadioConfig(), .traffic = params.policy};
+  ShardedWorld world(layout, {.regions = 1,
+                              .seed = params.seed,
+                              .link_delivery = params.link_delivery,
+                              .node_options = [&options](NodeId) { return options; }});
+  world.set_merged_trace_sink(trace_sink);
 
   SurveillanceConfig sconfig;
   sconfig.event_interval = params.event_interval;
   std::vector<std::unique_ptr<DuplicateSuppressionFilter>> filters;
-  for (auto& [id, node] : nodes) {
+  for (const auto& [id, node] : world.nodes()) {
     filters.push_back(std::make_unique<DuplicateSuppressionFilter>(
         node.get(), SurveillanceDataFilterAttrs(sconfig), 10));
   }
@@ -120,30 +115,28 @@ CongestionRunResult RunCongestionScenario(const CongestionRunParams& params) {
   std::map<int64_t, SimTime> first_delivery;
   std::map<int64_t, SimTime> first_delivery_second;
   uint64_t flooder_arrivals = 0;
-  const auto sink_callback = [&sim, &flooder_arrivals](std::map<int64_t, SimTime>* sink_map,
-                                                       const AttributeVector& attrs) {
-    const Attribute* seq = FindActual(attrs, kKeySequence);
-    const Attribute* source = FindActual(attrs, kKeySourceId);
-    if (seq == nullptr) {
-      return;
-    }
-    if (source != nullptr && source->AsInt() == std::optional<int64_t>(kFlooderSourceId)) {
-      ++flooder_arrivals;
-      return;
-    }
-    if (std::optional<int64_t> value = seq->AsInt()) {
-      sink_map->emplace(*value, sim.now());
-    }
-  };
-  (void)nodes.at(kIsiSinkNode)
-      ->Subscribe(SurveillanceInterestAttrs(sconfig), [&](const AttributeVector& attrs) {
-        sink_callback(&first_delivery, attrs);
-      });
-  if (params.second_sink) {
-    (void)nodes.at(kIsiUserNode)
-        ->Subscribe(SurveillanceInterestAttrs(sconfig), [&](const AttributeVector& attrs) {
-          sink_callback(&first_delivery_second, attrs);
+  const auto subscribe = [&](NodeId sink, std::map<int64_t, SimTime>* sink_map) {
+    const Simulator& sim = world.sim_of(sink);
+    (void)world.node(sink)->Subscribe(
+        SurveillanceInterestAttrs(sconfig), [&sim, &flooder_arrivals, sink_map](
+                                                const AttributeVector& attrs) {
+          const Attribute* seq = FindActual(attrs, kKeySequence);
+          const Attribute* source = FindActual(attrs, kKeySourceId);
+          if (seq == nullptr) {
+            return;
+          }
+          if (source != nullptr && source->AsInt() == std::optional<int64_t>(kFlooderSourceId)) {
+            ++flooder_arrivals;
+            return;
+          }
+          if (std::optional<int64_t> value = seq->AsInt()) {
+            sink_map->emplace(*value, sim.now());
+          }
         });
+  };
+  subscribe(kIsiSinkNode, &first_delivery);
+  if (params.second_sink) {
+    subscribe(kIsiUserNode, &first_delivery_second);
   }
 
   // Well-behaved sources, the Figure 7 source nodes first. Beyond four, any
@@ -168,7 +161,7 @@ CongestionRunResult RunCongestionScenario(const CongestionRunParams& params) {
   for (int i = 0; i < source_count; ++i) {
     const NodeId id = source_candidates[static_cast<size_t>(source_base + i)];
     sources.push_back(
-        std::make_unique<SurveillanceSource>(nodes.at(id).get(), sconfig, static_cast<int32_t>(id)));
+        std::make_unique<SurveillanceSource>(world.node(id), sconfig, static_cast<int32_t>(id)));
   }
 
   // The misbehaving node publishes the same task's data far above the agreed
@@ -178,8 +171,8 @@ CongestionRunResult RunCongestionScenario(const CongestionRunParams& params) {
   if (params.flooder) {
     SurveillanceConfig flood_config = sconfig;
     flood_config.event_interval = params.flooder_interval;
-    flooder = std::make_unique<SurveillanceSource>(nodes.at(kIsiSourceNodes[0]).get(),
-                                                   flood_config, kFlooderSourceId);
+    flooder = std::make_unique<SurveillanceSource>(world.node(kIsiSourceNodes[0]), flood_config,
+                                                   kFlooderSourceId);
   }
 
   // Sources start phase-staggered: the sensors observe the same event
@@ -190,15 +183,16 @@ CongestionRunResult RunCongestionScenario(const CongestionRunParams& params) {
   // sequence and the sinks see the union.
   const SimTime source_start = 5 * kSecond;
   for (size_t i = 0; i < sources.size(); ++i) {
-    auto& source = sources[i];
-    sim.At(source_start + static_cast<SimDuration>(i) * (700 * kMillisecond),
-           [&source] { source->Start(); });
+    SurveillanceSource* source = sources[i].get();
+    world.sim_of(source_candidates[static_cast<size_t>(source_base) + i])
+        .At(source_start + static_cast<SimDuration>(i) * (700 * kMillisecond),
+            [source] { source->Start(); });
   }
   if (flooder != nullptr) {
-    sim.At(source_start, [&flooder] { flooder->Start(); });
+    world.sim_of(kIsiSourceNodes[0]).At(source_start, [&flooder] { flooder->Start(); });
   }
 
-  sim.RunUntil(params.end_at);
+  world.RunUntil(params.end_at);
 
   // Event k is generated at source_start + k * event_interval (sources are
   // synchronized); count the ones generated inside the measurement window
@@ -241,7 +235,7 @@ CongestionRunResult RunCongestionScenario(const CongestionRunParams& params) {
     result.flooder_events_delivered = flooder_arrivals;
   }
 
-  for (auto& [id, node] : nodes) {
+  for (const auto& [id, node] : world.nodes()) {
     result.bytes_sent += static_cast<double>(node->stats().bytes_sent);
     result.transmits_jittered += node->stats().transmits_jittered;
     result.interest_scope_expansions += node->stats().interest_scope_expansions;

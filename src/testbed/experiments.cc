@@ -1,7 +1,6 @@
 #include "src/testbed/experiments.h"
 
 #include <algorithm>
-#include <map>
 #include <memory>
 #include <set>
 #include <vector>
@@ -13,6 +12,7 @@
 #include "src/filters/geo_scope_filter.h"
 #include "src/radio/energy.h"
 #include "src/radio/shadowing.h"
+#include "src/testbed/sharded_world.h"
 #include "src/testbed/topology.h"
 #include "src/trace/trace_writer.h"
 
@@ -21,9 +21,9 @@ namespace {
 
 // Sum of diffusion-level bytes transmitted by all nodes ("bytes sent from
 // all diffusion modules", Figure 8).
-uint64_t TotalDiffusionBytes(const std::map<NodeId, std::unique_ptr<DiffusionNode>>& nodes) {
+uint64_t TotalDiffusionBytes(const ShardedWorld& world) {
   uint64_t total = 0;
-  for (const auto& [id, node] : nodes) {
+  for (const auto& [id, node] : world.nodes()) {
     total += node->stats().bytes_sent;
   }
   return total;
@@ -39,24 +39,30 @@ size_t PossibleEvents(SimTime source_start, SimDuration interval, SimTime window
   return static_cast<size_t>(last > first ? last - first : 0);
 }
 
-// SlotPool acquires that had to carve a new slot instead of reusing one.
-uint64_t PoolSlotsGrown(Simulator& sim) {
-  return sim.slot_pool().acquires() - sim.slot_pool().reuses();
+// `amount / units`, or 0 when there are no units.
+double Ratio(double amount, double units) { return units > 0 ? amount / units : 0.0; }
+
+// SlotPool acquires that had to carve a new slot instead of reusing one,
+// over every region.
+uint64_t PoolSlotsGrown(ShardedEngine& engine) {
+  uint64_t grown = 0;
+  for (int region = 0; region < engine.regions(); ++region) {
+    const SlotPool& pool = engine.region_sim(region).slot_pool();
+    grown += pool.acquires() - pool.reuses();
+  }
+  return grown;
 }
 
 // Network-wide relative radio energy over a run of `elapsed`: measured
 // listen/receive/send times at power ratios 1:2:2 (the §6.1 model, fed with
 // observations instead of assumptions), in units of second-equivalents.
-double MeasuredEnergy(const std::map<NodeId, std::unique_ptr<DiffusionNode>>& nodes,
-                      double elapsed) {
+double MeasuredEnergy(const ShardedWorld& world, double elapsed) {
   const EnergyRatios ratios;
   double energy = 0.0;
-  for (const auto& [id, node] : nodes) {
-    DiffusionNode* mutable_node = node.get();
-    const double tx = static_cast<double>(mutable_node->radio().time_sending());
-    const double rx = static_cast<double>(mutable_node->radio().stats().time_receiving);
-    const double listen =
-        std::max(0.0, mutable_node->radio().awake_fraction() * elapsed - tx - rx);
+  for (const auto& [id, node] : world.nodes()) {
+    const double tx = static_cast<double>(node->radio().time_sending());
+    const double rx = static_cast<double>(node->radio().stats().time_receiving);
+    const double listen = std::max(0.0, node->radio().awake_fraction() * elapsed - tx - rx);
     energy += ratios.listen * listen + ratios.receive * rx + ratios.send * tx;
   }
   return energy / static_cast<double>(kSecond);
@@ -65,34 +71,11 @@ double MeasuredEnergy(const std::map<NodeId, std::unique_ptr<DiffusionNode>>& no
 }  // namespace
 
 Fig8Result RunFig8(const Fig8Params& params) {
-  // The writer outlives the simulator (declared first) so events emitted
-  // during teardown still have a live sink.
+  // The writer outlives the world (declared first) so events emitted during
+  // teardown still have a live sink.
   std::unique_ptr<TraceWriter> trace_writer;
   TraceSink* trace_sink = ResolveTraceSink(params.trace_sink, params.trace_out, &trace_writer);
-  Simulator sim(params.seed);
-  if (trace_sink != nullptr) {
-    sim.set_trace_sink(trace_sink);
-  }
   const TestbedLayout layout = IsiTestbedLayout();
-  std::unique_ptr<PropagationModel> propagation;
-  if (params.shadowing) {
-    ShadowingConfig sconfig;
-    // The layout's designed links run up to radio_range; placing the 0 dB
-    // point 30% beyond gives them the positive margin a deployed testbed's
-    // working links actually have, leaving the shadowing term to create the
-    // gray-zone and asymmetric outliers.
-    sconfig.reference_range = layout.radio_range * 1.3;
-    sconfig.shadowing_sigma_db = params.shadowing_sigma_db;
-    auto shadowed = std::make_unique<ShadowingPropagation>(sconfig, params.seed * 1315423911ULL);
-    for (const auto& [id, position] : layout.positions) {
-      shadowed->SetPosition(id, position);
-    }
-    propagation = std::move(shadowed);
-  } else {
-    propagation = MakePropagation(layout, params.link_delivery);
-  }
-  Channel channel(&sim, std::move(propagation));
-
   DiffusionConfig dconfig;
   dconfig.exploratory_every = params.exploratory_every;
   dconfig.variant = params.variant;
@@ -102,64 +85,80 @@ Fig8Result RunFig8(const Fig8Params& params) {
   RadioConfig rconfig = TestbedRadioConfig();
   rconfig.mac.duty_cycle = params.duty_cycle;
 
-  std::map<NodeId, std::unique_ptr<DiffusionNode>> nodes;
-  for (NodeId id : layout.node_ids) {
-    nodes[id] = std::make_unique<DiffusionNode>(&sim, &channel, id, NodeOptions{.diffusion = dconfig, .radio = rconfig});
+  ShardedWorldParams wparams{.regions = 1,
+                             .seed = params.seed,
+                             .link_delivery = params.link_delivery,
+                             .diffusion = dconfig,
+                             .radio = rconfig};
+  if (params.shadowing) {
+    wparams.propagation = [&layout, &params](int /*region*/) {
+      ShadowingConfig sconfig;
+      // The layout's designed links run up to radio_range; placing the 0 dB
+      // point 30% beyond gives them the positive margin a deployed testbed's
+      // working links actually have, leaving the shadowing term to create
+      // the gray-zone and asymmetric outliers.
+      sconfig.reference_range = layout.radio_range * 1.3;
+      sconfig.shadowing_sigma_db = params.shadowing_sigma_db;
+      auto shadowed =
+          std::make_unique<ShadowingPropagation>(sconfig, params.seed * 1315423911ULL);
+      for (const auto& [id, position] : layout.positions) {
+        shadowed->SetPosition(id, position);
+      }
+      return shadowed;
+    };
   }
+  ShardedWorld world(layout, wparams);
+  world.set_merged_trace_sink(trace_sink);
 
   SurveillanceConfig sconfig;
   std::vector<std::unique_ptr<DuplicateSuppressionFilter>> filters;
   std::vector<std::unique_ptr<CountingAggregationFilter>> counting_filters;
   if (params.strategy == AggregationStrategy::kSuppression) {
     // "All nodes were configured with aggregation filters" (§6.1).
-    for (auto& [id, node] : nodes) {
+    for (const auto& [id, node] : world.nodes()) {
       filters.push_back(std::make_unique<DuplicateSuppressionFilter>(
           node.get(), SurveillanceDataFilterAttrs(sconfig), 10));
     }
   } else if (params.strategy == AggregationStrategy::kCounting) {
-    for (auto& [id, node] : nodes) {
+    for (const auto& [id, node] : world.nodes()) {
       counting_filters.push_back(std::make_unique<CountingAggregationFilter>(
           node.get(), SurveillanceDataFilterAttrs(sconfig), 10, params.counting_window));
     }
   }
 
-  SurveillanceSink sink(nodes.at(kIsiSinkNode).get(), sconfig);
+  SurveillanceSink sink(world.node(kIsiSinkNode), sconfig);
   std::vector<std::unique_ptr<SurveillanceSource>> sources;
   for (int i = 0; i < params.sources; ++i) {
     const NodeId id = kIsiSourceNodes[i];
     sources.push_back(
-        std::make_unique<SurveillanceSource>(nodes.at(id).get(), sconfig, static_cast<int32_t>(id)));
+        std::make_unique<SurveillanceSource>(world.node(id), sconfig, static_cast<int32_t>(id)));
   }
 
   sink.Start();
   const SimTime source_start = 5 * kSecond;
-  for (auto& source : sources) {
-    sim.At(source_start, [&source] { source->Start(); });
+  for (int i = 0; i < params.sources; ++i) {
+    SurveillanceSource* source = sources[static_cast<size_t>(i)].get();
+    world.sim_of(kIsiSourceNodes[i]).At(source_start, [source] { source->Start(); });
   }
 
-  uint64_t events_executed = sim.RunUntil(params.warmup);
-  const uint64_t bytes_at_warmup = TotalDiffusionBytes(nodes);
+  uint64_t events_executed = world.RunUntil(params.warmup);
+  const uint64_t bytes_at_warmup = TotalDiffusionBytes(world);
   const size_t events_at_warmup = sink.distinct_events();
 
-  events_executed += sim.RunUntil(params.warmup + params.duration);
+  events_executed += world.RunUntil(params.warmup + params.duration);
 
   Fig8Result result;
   result.events_executed = events_executed;
-  result.pool_slots_grown = PoolSlotsGrown(sim);
-  result.receptions_attempted = channel.stats().receptions_attempted;
-  result.receivers_scanned = channel.stats().receivers_scanned;
-  result.diffusion_bytes = TotalDiffusionBytes(nodes) - bytes_at_warmup;
+  result.pool_slots_grown = PoolSlotsGrown(world.engine());
+  const ChannelStats channel_stats = world.TotalChannelStats();
+  result.receptions_attempted = channel_stats.receptions_attempted;
+  result.receivers_scanned = channel_stats.receivers_scanned;
+  result.diffusion_bytes = TotalDiffusionBytes(world) - bytes_at_warmup;
   result.distinct_events = sink.distinct_events() - events_at_warmup;
   result.possible_events = PossibleEvents(source_start, sconfig.event_interval, params.warmup,
                                           params.warmup + params.duration);
-  result.delivery_rate = result.possible_events > 0
-                             ? static_cast<double>(result.distinct_events) /
-                                   static_cast<double>(result.possible_events)
-                             : 0.0;
-  result.bytes_per_event = result.distinct_events > 0
-                               ? static_cast<double>(result.diffusion_bytes) /
-                                     static_cast<double>(result.distinct_events)
-                               : 0.0;
+  result.delivery_rate = Ratio(result.distinct_events, result.possible_events);
+  result.bytes_per_event = Ratio(result.diffusion_bytes, result.distinct_events);
   for (const auto& filter : filters) {
     result.suppressed += filter->suppressed();
   }
@@ -168,23 +167,15 @@ Fig8Result RunFig8(const Fig8Params& params) {
   }
   result.mean_latency_s = sink.first_copy_latency().mean();
 
-  const double energy = MeasuredEnergy(nodes, static_cast<double>(sim.now()));
-  result.energy_per_event =
-      result.distinct_events > 0
-          ? energy / static_cast<double>(result.distinct_events)
-          : 0.0;
+  const double elapsed = static_cast<double>(params.warmup + params.duration);
+  result.energy_per_event = Ratio(MeasuredEnergy(world, elapsed), result.distinct_events);
   return result;
 }
 
 Fig9Result RunFig9(const Fig9Params& params) {
   std::unique_ptr<TraceWriter> trace_writer;
   TraceSink* trace_sink = ResolveTraceSink(params.trace_sink, params.trace_out, &trace_writer);
-  Simulator sim(params.seed);
-  if (trace_sink != nullptr) {
-    sim.set_trace_sink(trace_sink);
-  }
   const TestbedLayout layout = IsiTestbedLayout();
-  Channel channel(&sim, MakePropagation(layout, params.link_delivery));
 
   // Audio and trigger publications are sparse (a few messages per minute):
   // their nodes run frequent exploratory rounds and a long reinforcement
@@ -199,32 +190,26 @@ Fig9Result RunFig9(const Fig9Params& params) {
   light_config.reinforcement_lifetime = 5 * kMinute;
   light_config.forward_delay_jitter = 300 * kMillisecond;
   const RadioConfig rconfig = TestbedRadioConfig();
-
-  std::map<NodeId, std::unique_ptr<DiffusionNode>> nodes;
-  for (NodeId id : layout.node_ids) {
-    bool is_light = false;
-    for (int i = 0; i < params.lights; ++i) {
-      if (kIsiLightNodes[i] == id) {
-        is_light = true;
-      }
-    }
-    nodes[id] = std::make_unique<DiffusionNode>(&sim, &channel, id,
-                                                NodeOptions{.diffusion = is_light ? light_config : sparse_config,
-                                                            .radio = rconfig});
-  }
+  const NodeId* const lights_end = kIsiLightNodes + params.lights;
+  ShardedWorld world(
+      layout, {.regions = 1,
+               .seed = params.seed,
+               .link_delivery = params.link_delivery,
+               .node_options = [&](NodeId id) {
+                 const bool is_light = std::find(kIsiLightNodes, lights_end, id) != lights_end;
+                 return NodeOptions{.diffusion = is_light ? light_config : sparse_config,
+                                    .radio = rconfig};
+               }});
+  world.set_merged_trace_sink(trace_sink);
 
   NestedQueryConfig nconfig;
-  std::vector<int32_t> light_ids;
-  for (int i = 0; i < params.lights; ++i) {
-    light_ids.push_back(static_cast<int32_t>(kIsiLightNodes[i]));
-  }
-  QueryUser user(nodes.at(kIsiUserNode).get(), nconfig, params.mode);
-  AudioSensor audio(nodes.at(kIsiAudioNode).get(), nconfig, params.mode, light_ids);
+  const std::vector<int32_t> light_ids(kIsiLightNodes, lights_end);
+  QueryUser user(world.node(kIsiUserNode), nconfig, params.mode);
+  AudioSensor audio(world.node(kIsiAudioNode), nconfig, params.mode, light_ids);
   std::vector<std::unique_ptr<LightSensor>> lights;
-  for (int i = 0; i < params.lights; ++i) {
-    const NodeId id = kIsiLightNodes[i];
-    lights.push_back(std::make_unique<LightSensor>(nodes.at(id).get(), nconfig,
-                                                   static_cast<int32_t>(id)));
+  for (const NodeId* id = kIsiLightNodes; id != lights_end; ++id) {
+    lights.push_back(
+        std::make_unique<LightSensor>(world.node(*id), nconfig, static_cast<int32_t>(*id)));
   }
 
   audio.Start();
@@ -233,9 +218,9 @@ Fig9Result RunFig9(const Fig9Params& params) {
     light->Start();
   }
 
-  sim.RunUntil(params.warmup);
-  const uint64_t bytes_at_warmup = TotalDiffusionBytes(nodes);
-  sim.RunUntil(params.warmup + params.duration);
+  world.RunUntil(params.warmup);
+  const uint64_t bytes_at_warmup = TotalDiffusionBytes(world);
+  world.RunUntil(params.warmup + params.duration);
 
   // Count light-change events whose toggle epoch falls inside the window.
   const int32_t begin_epoch =
@@ -247,11 +232,8 @@ Fig9Result RunFig9(const Fig9Params& params) {
   result.possible_events =
       static_cast<size_t>(end_epoch - begin_epoch) * static_cast<size_t>(params.lights);
   result.delivered_events = user.DeliveredInEpochRange(begin_epoch, end_epoch);
-  result.delivered_fraction = result.possible_events > 0
-                                  ? static_cast<double>(result.delivered_events) /
-                                        static_cast<double>(result.possible_events)
-                                  : 0.0;
-  result.diffusion_bytes = TotalDiffusionBytes(nodes) - bytes_at_warmup;
+  result.delivered_fraction = Ratio(result.delivered_events, result.possible_events);
+  result.diffusion_bytes = TotalDiffusionBytes(world) - bytes_at_warmup;
   result.triggers_sent = user.triggers_sent();
   return result;
 }
@@ -259,11 +241,6 @@ Fig9Result RunFig9(const Fig9Params& params) {
 ScaleResult RunScaleExperiment(const ScaleParams& params) {
   std::unique_ptr<TraceWriter> trace_writer;
   TraceSink* trace_sink = ResolveTraceSink(params.trace_sink, params.trace_out, &trace_writer);
-  Simulator sim(params.seed);
-  if (trace_sink != nullptr) {
-    sim.set_trace_sink(trace_sink);
-  }
-
   // Draw random layouts until connected.
   TestbedLayout layout;
   Rng layout_rng(params.seed * 7919 + 3);
@@ -282,16 +259,16 @@ ScaleResult RunScaleExperiment(const ScaleParams& params) {
     }
   }
 
-  Channel channel(&sim, MakePropagation(layout, 0.98));
   DiffusionConfig dconfig;
   dconfig.exploratory_every = params.exploratory_every;
   RadioConfig rconfig = SimulationRadioConfig();
   rconfig.fragment_payload = params.message_bytes;
-
-  std::map<NodeId, std::unique_ptr<DiffusionNode>> nodes;
-  for (NodeId id : layout.node_ids) {
-    nodes[id] = std::make_unique<DiffusionNode>(&sim, &channel, id, NodeOptions{.diffusion = dconfig, .radio = rconfig});
-  }
+  ShardedWorld world(layout, {.regions = 1,
+                              .seed = params.seed,
+                              .link_delivery = 0.98,
+                              .diffusion = dconfig,
+                              .radio = rconfig});
+  world.set_merged_trace_sink(trace_sink);
 
   SurveillanceConfig sconfig;
   sconfig.event_interval = params.event_interval;
@@ -299,7 +276,7 @@ ScaleResult RunScaleExperiment(const ScaleParams& params) {
 
   std::vector<std::unique_ptr<DuplicateSuppressionFilter>> filters;
   if (params.suppression) {
-    for (auto& [id, node] : nodes) {
+    for (const auto& [id, node] : world.nodes()) {
       filters.push_back(std::make_unique<DuplicateSuppressionFilter>(
           node.get(), SurveillanceDataFilterAttrs(sconfig), 10));
     }
@@ -320,7 +297,7 @@ ScaleResult RunScaleExperiment(const ScaleParams& params) {
   std::set<int32_t> distinct;
   std::vector<SubscriptionHandle> subs;
   for (NodeId id : sink_ids) {
-    subs.push_back(nodes.at(id)->Subscribe(
+    subs.push_back(world.node(id)->Subscribe(
         SurveillanceInterestAttrs(sconfig), [&distinct](const AttributeVector& attrs) {
           const Attribute* seq = FindActual(attrs, kKeySequence);
           if (seq != nullptr) {
@@ -334,61 +311,46 @@ ScaleResult RunScaleExperiment(const ScaleParams& params) {
   std::vector<std::unique_ptr<SurveillanceSource>> sources;
   for (NodeId id : source_ids) {
     sources.push_back(
-        std::make_unique<SurveillanceSource>(nodes.at(id).get(), sconfig, static_cast<int32_t>(id)));
+        std::make_unique<SurveillanceSource>(world.node(id), sconfig, static_cast<int32_t>(id)));
   }
   const SimTime source_start = 5 * kSecond;
-  for (auto& source : sources) {
-    sim.At(source_start, [&source] { source->Start(); });
+  for (size_t i = 0; i < sources.size(); ++i) {
+    SurveillanceSource* source = sources[i].get();
+    world.sim_of(source_ids[i]).At(source_start, [source] { source->Start(); });
   }
 
-  sim.RunUntil(params.warmup);
-  const uint64_t bytes_at_warmup = TotalDiffusionBytes(nodes);
+  world.RunUntil(params.warmup);
+  const uint64_t bytes_at_warmup = TotalDiffusionBytes(world);
   const size_t events_at_warmup = distinct.size();
-  sim.RunUntil(params.warmup + params.duration);
+  world.RunUntil(params.warmup + params.duration);
 
   ScaleResult result;
-  const uint64_t bytes = TotalDiffusionBytes(nodes) - bytes_at_warmup;
+  const uint64_t bytes = TotalDiffusionBytes(world) - bytes_at_warmup;
   result.distinct_events = distinct.size() - events_at_warmup;
   const size_t possible = PossibleEvents(source_start, params.event_interval, params.warmup,
                                          params.warmup + params.duration);
-  result.delivery_rate =
-      possible > 0 ? static_cast<double>(result.distinct_events) / static_cast<double>(possible)
-                   : 0.0;
-  result.bytes_per_event =
-      result.distinct_events > 0
-          ? static_cast<double>(bytes) / static_cast<double>(result.distinct_events)
-          : 0.0;
-  const double energy = MeasuredEnergy(nodes, static_cast<double>(sim.now()));
-  result.energy_per_event =
-      result.distinct_events > 0
-          ? energy / static_cast<double>(result.distinct_events)
-          : 0.0;
+  result.delivery_rate = Ratio(result.distinct_events, possible);
+  result.bytes_per_event = Ratio(bytes, result.distinct_events);
+  const double elapsed = static_cast<double>(params.warmup + params.duration);
+  result.energy_per_event = Ratio(MeasuredEnergy(world, elapsed), result.distinct_events);
   const EnergyRatios ratios;
   double comm_energy = 0.0;
-  for (auto& [id, node] : nodes) {
+  for (const auto& [id, node] : world.nodes()) {
     comm_energy += ratios.send * static_cast<double>(node->radio().time_sending()) +
                    ratios.receive * static_cast<double>(node->radio().stats().time_receiving);
   }
   comm_energy /= static_cast<double>(kSecond);
-  result.comm_energy_per_event =
-      result.distinct_events > 0
-          ? comm_energy / static_cast<double>(result.distinct_events)
-          : 0.0;
+  result.comm_energy_per_event = Ratio(comm_energy, result.distinct_events);
   return result;
 }
 
 GeoResult RunGeoExperiment(const GeoParams& params) {
-  Simulator sim(params.seed);
   const TestbedLayout layout = GridLayout(params.grid, params.grid, params.spacing,
                                           params.radio_range);
-  Channel channel(&sim, MakePropagation(layout, 0.95));
-
-  DiffusionConfig dconfig;
-  const RadioConfig rconfig = TestbedRadioConfig();
-  std::map<NodeId, std::unique_ptr<DiffusionNode>> nodes;
-  for (NodeId id : layout.node_ids) {
-    nodes[id] = std::make_unique<DiffusionNode>(&sim, &channel, id, NodeOptions{.diffusion = dconfig, .radio = rconfig});
-  }
+  ShardedWorld world(layout, {.regions = 1,
+                              .seed = params.seed,
+                              .link_delivery = 0.95,
+                              .radio = TestbedRadioConfig()});
 
   // Sink in the (0, 0) corner; sources in the far end of the same row band.
   const NodeId sink_id = 1;
@@ -406,7 +368,7 @@ GeoResult RunGeoExperiment(const GeoParams& params) {
 
   std::vector<std::unique_ptr<DuplicateSuppressionFilter>> suppression;
   std::vector<std::unique_ptr<GeoScopeFilter>> geo_filters;
-  for (auto& [id, node] : nodes) {
+  for (const auto& [id, node] : world.nodes()) {
     suppression.push_back(std::make_unique<DuplicateSuppressionFilter>(
         node.get(), SurveillanceDataFilterAttrs(sconfig), 10));
     if (params.geo_scope) {
@@ -415,33 +377,31 @@ GeoResult RunGeoExperiment(const GeoParams& params) {
     }
   }
 
-  SurveillanceSink sink(nodes.at(sink_id).get(), sconfig);
-  SurveillanceSource src_a(nodes.at(source_a).get(), sconfig, static_cast<int32_t>(source_a),
+  SurveillanceSink sink(world.node(sink_id), sconfig);
+  SurveillanceSource src_a(world.node(source_a), sconfig, static_cast<int32_t>(source_a),
                            layout.positions.at(source_a).x, layout.positions.at(source_a).y);
-  SurveillanceSource src_b(nodes.at(source_b).get(), sconfig, static_cast<int32_t>(source_b),
+  SurveillanceSource src_b(world.node(source_b), sconfig, static_cast<int32_t>(source_b),
                            layout.positions.at(source_b).x, layout.positions.at(source_b).y);
 
   sink.Start();
   const SimTime source_start = 5 * kSecond;
-  sim.At(source_start, [&] {
+  world.sim_of(source_a).At(source_start, [&] {
     src_a.Start();
     src_b.Start();
   });
 
-  sim.RunUntil(params.warmup);
-  const uint64_t bytes_at_warmup = TotalDiffusionBytes(nodes);
+  world.RunUntil(params.warmup);
+  const uint64_t bytes_at_warmup = TotalDiffusionBytes(world);
   const size_t events_at_warmup = sink.distinct_events();
-  sim.RunUntil(params.warmup + params.duration);
+  world.RunUntil(params.warmup + params.duration);
 
   GeoResult result;
-  const uint64_t bytes = TotalDiffusionBytes(nodes) - bytes_at_warmup;
+  const uint64_t bytes = TotalDiffusionBytes(world) - bytes_at_warmup;
   const size_t events = sink.distinct_events() - events_at_warmup;
   const size_t possible = PossibleEvents(source_start, sconfig.event_interval, params.warmup,
                                          params.warmup + params.duration);
-  result.bytes_per_event =
-      events > 0 ? static_cast<double>(bytes) / static_cast<double>(events) : 0.0;
-  result.delivery_rate =
-      possible > 0 ? static_cast<double>(events) / static_cast<double>(possible) : 0.0;
+  result.bytes_per_event = Ratio(bytes, events);
+  result.delivery_rate = Ratio(events, possible);
   for (const auto& filter : geo_filters) {
     result.interests_pruned += filter->pruned();
   }

@@ -1,10 +1,11 @@
 // Reusable experiment runners for the paper's evaluation (§6).
 //
-// Each Run* function builds a complete network (simulator, channel, radios,
-// diffusion nodes, filters, applications), runs it for a warmup plus a
+// Each Run* function builds its network as a one-region ShardedWorld
+// (src/testbed/sharded_world.h: simulator, channel, radios, diffusion
+// nodes), adds filters and applications, runs it for a warmup plus a
 // measurement window, and returns the metrics the corresponding figure
 // reports. Benchmarks sweep these; integration tests pin their qualitative
-// shape.
+// shape, and tests/runner_digest_test.cc pins their exact output.
 
 #ifndef SRC_TESTBED_EXPERIMENTS_H_
 #define SRC_TESTBED_EXPERIMENTS_H_

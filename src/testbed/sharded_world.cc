@@ -23,22 +23,26 @@ ShardedWorld::ShardedWorld(const TestbedLayout& layout, const ShardedWorldParams
   // its own region's endpoints.
   std::vector<Channel*> channel_ptrs;
   for (int region = 0; region < map_.regions(); ++region) {
-    channels_.push_back(std::make_unique<Channel>(&engine_->region_sim(region),
-                                                  MakePropagation(layout, params.link_delivery)));
+    channels_.push_back(std::make_unique<Channel>(
+        &engine_->region_sim(region), params.propagation
+                                          ? params.propagation(region)
+                                          : MakePropagation(layout, params.link_delivery)));
     channel_ptrs.push_back(channels_.back().get());
   }
   bridge_ = std::make_unique<RegionBridge>(&matrix_, std::move(channel_ptrs));
   engine_->set_coupler(bridge_.get());
 
-  // Region-major, ascending id within a region — with one region this is
-  // ascending id overall, matching the monolithic construction order (and
-  // hence its RNG fork sequence) exactly.
-  for (int region = 0; region < map_.regions(); ++region) {
-    for (NodeId id : map_.nodes_in(region)) {
-      nodes_[id] = std::make_unique<DiffusionNode>(
-          &engine_->region_sim(region), channels_[static_cast<size_t>(region)].get(), id,
-          NodeOptions{.diffusion = params.diffusion, .radio = params.radio});
-    }
+  // Region-major, layout order within a region (see the header): a stable
+  // sort by region keeps layout order among each region's nodes.
+  std::vector<NodeId> order = layout.node_ids;
+  std::stable_sort(order.begin(), order.end(),
+                   [this](NodeId a, NodeId b) { return map_.RegionOf(a) < map_.RegionOf(b); });
+  for (NodeId id : order) {
+    const int region = map_.RegionOf(id);
+    nodes_[id] = std::make_unique<DiffusionNode>(
+        &engine_->region_sim(region), channels_[static_cast<size_t>(region)].get(), id,
+        params.node_options ? params.node_options(id)
+                            : NodeOptions{.diffusion = params.diffusion, .radio = params.radio});
   }
 }
 

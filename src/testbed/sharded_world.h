@@ -1,25 +1,31 @@
-// A complete sharded network: the testbed-level composition of the parallel
-// simulation core.
+// A complete network: simulators, channels, propagation and DiffusionNodes,
+// composed in one place. Every experiment runner builds its world here at
+// one region; the parallel benches build it at many.
 //
 // ShardedWorld takes any TestbedLayout and builds, per spatial region (see
 // src/radio/region_map.h): a Simulator shard inside a ShardedEngine, a
-// Channel with its own copy of the disk propagation (full geometry, local
-// endpoints only), and the region's DiffusionNodes. A RegionBridge couples
-// the channels across borders through mailboxes drained at each window
-// barrier.
+// Channel with its own propagation model (full geometry, local endpoints
+// only), and the region's DiffusionNodes. A RegionBridge couples the
+// channels across borders through mailboxes drained at each window barrier.
 //
-// Fidelity: a one-region world reproduces the monolithic sequential setup
-// byte-for-byte (same seed, same construction order). With more regions the
-// run is deterministic at any thread count, but differs from the monolithic
-// run at region borders: cross-region frames cannot collide with (or be
-// corrupted by) transmissions in the destination region that start after the
-// frame was posted, and their delivery may be deferred to the next barrier
-// when the window exceeds the frame's airtime. Within a region the radio
-// model is exact.
+// Construction order is part of the output, since each channel and node
+// forks its RNG from its region's Simulator when built: channels in region
+// order, then nodes region-major and in `layout.node_ids` order within a
+// region. One region is thus exactly the hand-built network (Simulator,
+// Channel, nodes in layout order) and runs as the sequential engine (see
+// src/sim/sharded_engine.h).
+//
+// With more regions the run is deterministic at any thread count, but
+// differs from the monolithic run at region borders: cross-region frames
+// cannot collide with (or be corrupted by) transmissions in the destination
+// region that start after the frame was posted, and their delivery may be
+// deferred to the next barrier (src/radio/region_bridge.h). Within a region
+// the radio model is exact.
 
 #ifndef SRC_TESTBED_SHARDED_WORLD_H_
 #define SRC_TESTBED_SHARDED_WORLD_H_
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <vector>
@@ -48,6 +54,13 @@ struct ShardedWorldParams {
   double link_delivery = 0.98;
   DiffusionConfig diffusion{};
   RadioConfig radio{};
+  // Region `region`'s channel propagation; empty = MakePropagation(layout,
+  // link_delivery). Region coupling always comes from the disk model, so at
+  // more than one region a factory reaching past the disk (shadowing) is
+  // outside RegionLinkMatrix's superset guarantee.
+  std::function<std::unique_ptr<PropagationModel>(int region)> propagation{};
+  // The options node `id` is built with; empty = {diffusion, radio}.
+  std::function<NodeOptions(NodeId id)> node_options{};
 };
 
 class ShardedWorld {

@@ -266,57 +266,78 @@ GridApps StartApps(DiffusionNode* sink_node, const std::vector<DiffusionNode*>& 
 }
 
 TEST(ShardedWorldTest, SingleRegionMatchesMonolithicByteForByte) {
-  const TestbedLayout layout = GridLayout(4, 4, 10.0, 12.0);
+  // The grid's ids ascend in layout order; the ISI testbed's (13, 16, 11,
+  // 22, ...) do not, so it pins that a one-region world builds its nodes in
+  // layout order — each node forks its RNG stream as it is built.
+  struct Case {
+    const char* name;
+    TestbedLayout layout;
+    NodeId sink;
+    std::vector<NodeId> sources;
+  };
+  const Case cases[] = {
+      {"grid", GridLayout(4, 4, 10.0, 12.0), 1, {16, 13}},
+      {"isi", IsiTestbedLayout(), kIsiSinkNode, {kIsiSourceNodes[0], kIsiSourceNodes[3]}},
+  };
   const uint64_t seed = 11;
   const SimTime end = 60 * kSecond;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const TestbedLayout& layout = c.layout;
 
-  // Monolithic reference, constructed in the same order ShardedWorld uses
-  // (channel first, then nodes ascending by id).
-  MemoryTraceSink mono_trace;
-  std::vector<TraceEvent> mono_events;
-  uint64_t mono_bytes = 0;
-  {
-    Simulator sim(seed);
-    sim.set_trace_sink(&mono_trace);
-    Channel channel(&sim, MakePropagation(layout, 0.98));
-    std::vector<NodeId> ids = layout.node_ids;
-    std::sort(ids.begin(), ids.end());
-    std::map<NodeId, std::unique_ptr<DiffusionNode>> nodes;
-    for (NodeId id : ids) {
-      nodes[id] = std::make_unique<DiffusionNode>(&sim, &channel, id);
+    // Monolithic reference: channel first, then nodes in layout order.
+    MemoryTraceSink mono_trace;
+    std::vector<TraceEvent> mono_events;
+    uint64_t mono_bytes = 0;
+    {
+      Simulator sim(seed);
+      sim.set_trace_sink(&mono_trace);
+      Channel channel(&sim, MakePropagation(layout, 0.98));
+      std::map<NodeId, std::unique_ptr<DiffusionNode>> nodes;
+      for (NodeId id : layout.node_ids) {
+        nodes[id] = std::make_unique<DiffusionNode>(&sim, &channel, id);
+      }
+      std::vector<DiffusionNode*> sources;
+      for (NodeId id : c.sources) {
+        sources.push_back(nodes.at(id).get());
+      }
+      GridApps apps = StartApps(nodes.at(c.sink).get(), sources);
+      sim.RunUntil(end);
+      mono_events = mono_trace.events();
+      for (const auto& [id, node] : nodes) {
+        mono_bytes += node->stats().bytes_sent;
+      }
     }
-    GridApps apps = StartApps(nodes.at(1).get(), {nodes.at(16).get(), nodes.at(13).get()});
-    sim.RunUntil(end);
-    mono_events = mono_trace.events();
-    for (const auto& [id, node] : nodes) {
-      mono_bytes += node->stats().bytes_sent;
+
+    MemoryTraceSink sharded_trace;
+    std::vector<TraceEvent> sharded_events;
+    uint64_t sharded_bytes = 0;
+    {
+      ShardedWorldParams params;
+      params.regions = 1;
+      params.threads = 1;
+      params.seed = seed;
+      ShardedWorld world(layout, params);
+      ASSERT_EQ(world.region_map().regions(), 1);
+      world.set_merged_trace_sink(&sharded_trace);
+      std::vector<DiffusionNode*> sources;
+      for (NodeId id : c.sources) {
+        sources.push_back(world.node(id));
+      }
+      GridApps apps = StartApps(world.node(c.sink), sources);
+      world.RunUntil(end);
+      sharded_events = sharded_trace.events();
+      for (const auto& [id, node] : world.nodes()) {
+        sharded_bytes += node->stats().bytes_sent;
+      }
     }
+
+    EXPECT_GT(mono_events.size(), 100u);
+    EXPECT_GT(mono_bytes, 0u);
+    EXPECT_EQ(mono_bytes, sharded_bytes);
+    ASSERT_EQ(mono_events.size(), sharded_events.size());
+    EXPECT_TRUE(mono_events == sharded_events);
   }
-
-  MemoryTraceSink sharded_trace;
-  std::vector<TraceEvent> sharded_events;
-  uint64_t sharded_bytes = 0;
-  {
-    ShardedWorldParams params;
-    params.regions = 1;
-    params.threads = 1;
-    params.seed = seed;
-    ShardedWorld world(layout, params);
-    ASSERT_EQ(world.region_map().regions(), 1);
-    world.set_merged_trace_sink(&sharded_trace);
-    GridApps apps = StartApps(world.node(1), {world.node(16), world.node(13)});
-    world.RunUntil(end);
-    sharded_events = sharded_trace.events();
-    for (const auto& [id, node] : world.nodes()) {
-      sharded_bytes += node->stats().bytes_sent;
-    }
-  }
-
-  EXPECT_GT(mono_events.size(), 100u);
-  EXPECT_GT(mono_bytes, 0u);
-  EXPECT_EQ(mono_bytes, sharded_bytes);
-  ASSERT_EQ(mono_events.size(), sharded_events.size());
-  EXPECT_TRUE(mono_events == sharded_events);
 }
 
 // Fingerprint + byte totals of one sharded run.
