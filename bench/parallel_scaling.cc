@@ -77,6 +77,7 @@ struct RunOutput {
   uint64_t border_frames = 0;
   uint64_t deliveries_clamped = 0;
   uint64_t receivers_scanned = 0;  // channel receiver-list entries visited
+  uint64_t reassembly_purge_scans = 0;  // partials visited by reassembler purges
   uint64_t windows_run = 0;        // barriers taken (idle windows skipped)
   std::vector<uint64_t> clamped_by_region;
   uint64_t fingerprint = 0;
@@ -142,6 +143,7 @@ RunOutput RunWorld(int side, int regions, unsigned threads, uint64_t seed, int s
       std::chrono::duration_cast<std::chrono::duration<double>>(stop - start).count();
   for (const auto& [id, node] : world.nodes()) {
     output.diffusion_bytes += node->stats().bytes_sent;
+    output.reassembly_purge_scans += node->radio().reassembly_purge_scans();
   }
   output.border_frames = world.bridge().frames_handed_off();
   output.deliveries_clamped = world.bridge().deliveries_clamped();
@@ -179,6 +181,7 @@ std::vector<bench::BenchResult> DeterministicRows(int side, int traced_seconds,
       {"border_frames", "count", static_cast<double>(run.border_frames)},
       {"deliveries_clamped", "count", static_cast<double>(run.deliveries_clamped)},
       {"receivers_scanned", "count", static_cast<double>(run.receivers_scanned)},
+      {"reassembly_purge_scans", "count", static_cast<double>(run.reassembly_purge_scans)},
       {"windows_run", "count", static_cast<double>(run.windows_run)},
       {"trace_fingerprint", "hash53", static_cast<double>(run.fingerprint)},
       {"trace_events", "count", static_cast<double>(run.trace_events)},

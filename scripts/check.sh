@@ -149,9 +149,12 @@ note_ran tests
 # Runner oracle independent of ShardedWorld: perfbench hand-builds its own
 # testbed world and exits 1 (correct=false) unless RunFig8 and
 # RunCongestionScenario reproduce its events, bytes, deliveries and trace
-# fingerprint.
+# fingerprint. The traced field10k run checks the sharded field's 1-thread
+# and N-thread traced runs for identical output and its traced counters
+# against an untraced run.
 python3 perfbench/run.py --workload testbed14 --seed 1 --seconds 1 --trace 0
 python3 perfbench/run.py --workload testbed14_overload --seed 1 --seconds 1 --trace 0
+python3 perfbench/run.py --workload field10k --seed 1 --seconds 1 --trace 1
 
 for b in build/bench/*; do
   echo "===== $b"

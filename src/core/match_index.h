@@ -369,6 +369,10 @@ class MatchIndex {
   }
 
   AttrKey discriminator_;
+  // Counters first: size() is read for every message a node receives.
+  size_t size_ = 0;
+  uint64_t version_ = 0;
+  mutable uint64_t epoch_ = 0;
 
   // EQ buckets: flat integer-keyed tables (lookup only, never iterated).
   std::unordered_map<uint64_t, Group> num_eq_;
@@ -403,9 +407,6 @@ class MatchIndex {
 
   Interner interner_;
   std::unordered_map<uint32_t, Position> positions_;
-  size_t size_ = 0;
-  uint64_t version_ = 0;
-  mutable uint64_t epoch_ = 0;
 };
 
 }  // namespace diffusion

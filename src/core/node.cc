@@ -54,11 +54,11 @@ std::vector<NodeId> FilterApi::Neighbors() const { return node_->Neighbors(); }
 DiffusionNode::DiffusionNode(Simulator* sim, Channel* channel, NodeId id, NodeOptions options)
     : sim_(sim),
       id_(id),
+      seen_packets_(options.diffusion.data_cache_size),
       config_(options.diffusion),
       traffic_(options.traffic),
       radio_(sim, channel, id, options.EffectiveRadio()),
       filter_api_(this),
-      seen_packets_(options.diffusion.data_cache_size),
       rng_(sim->rng().Fork()) {
   radio_.SetReceiveCallback(
       [this](NodeId from, const WireBody& body) { OnRadioReceive(from, body); });
@@ -389,15 +389,7 @@ ApiResult DiffusionNode::RemoveFilter(FilterHandle handle) {
   return ApiResult::kOk;
 }
 
-std::vector<NodeId> DiffusionNode::Neighbors() const {
-  std::vector<NodeId> neighbors;
-  neighbors.reserve(neighbors_.size());
-  for (const auto& [node, last_heard] : neighbors_) {
-    neighbors.push_back(node);
-  }
-  std::sort(neighbors.begin(), neighbors.end());
-  return neighbors;
-}
+std::vector<NodeId> DiffusionNode::Neighbors() const { return neighbors_; }
 
 void DiffusionNode::RegisterMetrics(MetricsRegistry* registry) {
   registry->RegisterCounter(id_, "diffusion.messages_sent",
@@ -501,7 +493,10 @@ void DiffusionNode::OnRadioReceive(NodeId from, const WireBody& body) {
   if (!alive_) {
     return;
   }
-  neighbors_[from] = sim_->now();
+  auto heard = std::lower_bound(neighbors_.begin(), neighbors_.end(), from);
+  if (heard == neighbors_.end() || *heard != from) {
+    neighbors_.insert(heard, from);
+  }
   if (const auto* structured = dynamic_cast<const MessageBody*>(&body)) {
     // A diffusion sender's body: copying the message is cheap (the attribute
     // storage is shared copy-on-write, carrying the sender's cached hashes to
@@ -562,6 +557,9 @@ void DiffusionNode::DispatchToChain(Message message, int32_t below_priority) {
 
 std::optional<uint32_t> DiffusionNode::SelectFilter(const AttributeSet& attrs,
                                                     int32_t below_priority) {
+  if (filter_index_.size() == 0) {
+    return std::nullopt;
+  }
   // Winner selection over index candidates only; ties break toward the
   // lowest handle, matching the old ascending full-chain scan.
   bool found = false;

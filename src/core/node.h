@@ -25,7 +25,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -170,6 +169,7 @@ class DiffusionNode {
   const NodeStats& stats() const { return stats_; }
   const DiffusionConfig& config() const { return config_; }
   const TrafficPolicy& traffic() const { return traffic_; }
+  // Every node this one has heard from since it (re)booted, ascending.
   std::vector<NodeId> Neighbors() const;
 
   // Registers this node's named counters/gauges — diffusion core
@@ -298,13 +298,18 @@ class DiffusionNode {
 
   Simulator* sim_;
   NodeId id_;
+  // State every received message reads or writes, declared together so a
+  // message's arrival touches few cache lines of this several-KiB object.
+  bool alive_ = true;
+  std::vector<NodeId> neighbors_;  // every node heard from, ascending
+  DataCache seen_packets_;
+  GradientTable gradients_;
+  NodeStats stats_;
+
   DiffusionConfig config_;
   TrafficPolicy traffic_;
   Radio radio_;
   FilterApi filter_api_;
-
-  GradientTable gradients_;
-  DataCache seen_packets_;
 
   // Node-based maps: Subscription/Filter addresses stay stable, so the match
   // indexes below can hold pointers to their attribute sets.
@@ -318,14 +323,11 @@ class DiffusionNode {
   MatchIndex filter_index_{kKeyClass};
   MatchIndex subscription_index_{kKeyClass};
 
-  std::unordered_map<NodeId, SimTime> neighbors_;
   std::unordered_set<EventId> pending_transmits_;
   Rng rng_;
 
   uint32_t next_handle_ = 1;
   uint32_t next_origin_seq_ = 1;
-  bool alive_ = true;
-  NodeStats stats_;
 };
 
 }  // namespace diffusion

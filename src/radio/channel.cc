@@ -24,11 +24,6 @@ ChannelStats operator-(const ChannelStats& a, const ChannelStats& b) {
   return delta;
 }
 
-Channel::ReceiverSlot* Channel::FindSlot(NodeId node) {
-  auto it = slot_of_.find(node);
-  return it == slot_of_.end() ? nullptr : &slots_[it->second];
-}
-
 namespace {
 
 template <typename Entry>
@@ -38,30 +33,28 @@ bool NodeBelow(const Entry& entry, NodeId node) {
 
 }  // namespace
 
-void Channel::Attach(ChannelEndpoint* endpoint) {
+ChannelPort Channel::Attach(ChannelEndpoint* endpoint) {
   const NodeId node = endpoint->node_id();
-  auto [slot_it, fresh] = slot_of_.try_emplace(node, static_cast<uint32_t>(slots_.size()));
+  auto [slot_it, fresh] = slot_of_.try_emplace(node, static_cast<ChannelPort>(slots_.size()));
+  const ChannelPort port = slot_it->second;
   if (fresh) {
-    slots_.emplace_back();
+    slots_.emplace_back().node = node;
   }
-  const Receiver entry{node, endpoint, slot_it->second};
+  const Receiver entry{node, endpoint, port};
   auto at = std::lower_bound(attached_.begin(), attached_.end(), node, NodeBelow<Receiver>);
   if (at != attached_.end() && at->node == node) {
     *at = entry;
   } else {
     attached_.insert(at, entry);
   }
-  receivers_.clear();
-  // Restore counters parked by a previous Detach (a reattach after a
-  // blackout), and remember their value now so NodeStatsSinceAttach can
-  // report this attachment's traffic free of pre-fault history.
-  auto parked = parked_stats_.find(node);
-  if (parked != parked_stats_.end()) {
-    node_stats_[node] = parked->second;
-    parked_stats_.erase(parked);
-  }
-  attach_base_[node] = node_stats_[node];
-  slots_[slot_it->second].stats = &node_stats_[node];
+  InvalidateReceiverLists();
+  // The counters parked by a previous Detach carry on; remember their value
+  // now so NodeStatsSinceAttach reports this attachment's traffic free of
+  // pre-fault history.
+  ReceiverSlot& slot = slots_[port];
+  slot.attached = true;
+  slot.attach_base = slot.stats;
+  return port;
 }
 
 void Channel::Detach(NodeId node) {
@@ -69,23 +62,20 @@ void Channel::Detach(NodeId node) {
   if (at != attached_.end() && at->node == node) {
     attached_.erase(at);
   }
-  receivers_.clear();
-  auto stats_it = node_stats_.find(node);
-  if (stats_it != node_stats_.end()) {
-    parked_stats_[node] = stats_it->second;
-    node_stats_.erase(stats_it);
+  InvalidateReceiverLists();
+  auto slot_it = slot_of_.find(node);
+  if (slot_it == slot_of_.end()) {
+    return;
   }
-  attach_base_.erase(node);
+  ReceiverSlot& slot = slots_[slot_it->second];
+  slot.attached = false;
   // Cancel (rather than erase) the node's receptions inside still-active
   // transmissions: other receivers' in-air entries index into the same
   // reception vectors, so positions must stay stable.
-  if (ReceiverSlot* slot = FindSlot(node)) {
-    for (const auto& [tx_id, index] : slot->in_air) {
-      ResolveTx(tx_id)->receptions[index].cancelled = true;
-    }
-    slot->in_air.clear();
-    slot->stats = nullptr;  // parked; refreshed by the next Attach
+  for (const auto& [tx_id, index] : slot.in_air) {
+    ResolveTx(tx_id)->receptions[index].cancelled = true;
   }
+  slot.in_air.clear();
 }
 
 void Channel::RegisterMetrics(MetricsRegistry* registry) const {
@@ -107,57 +97,82 @@ void Channel::RegisterMetrics(MetricsRegistry* registry) const {
 }
 
 ChannelStats Channel::NodeStats(NodeId node) const {
-  auto live = node_stats_.find(node);
-  if (live != node_stats_.end()) {
-    return live->second;
-  }
-  auto parked = parked_stats_.find(node);
-  return parked != parked_stats_.end() ? parked->second : ChannelStats{};
+  auto it = slot_of_.find(node);
+  return it == slot_of_.end() ? ChannelStats{} : slots_[it->second].stats;
 }
 
 ChannelStats Channel::NodeStatsSinceAttach(NodeId node) const {
-  auto base = attach_base_.find(node);
-  if (base == attach_base_.end()) {
+  auto it = slot_of_.find(node);
+  if (it == slot_of_.end() || !slots_[it->second].attached) {
     // Not currently attached: this attachment contributed nothing yet.
     return ChannelStats{};
   }
-  return NodeStats(node) - base->second;
+  const ReceiverSlot& slot = slots_[it->second];
+  return slot.stats - slot.attach_base;
 }
 
-const std::vector<Channel::Receiver>& Channel::ReceiversOf(NodeId sender) {
+void Channel::InvalidateReceiverLists() {
+  ++lists_epoch_;
+  remote_receivers_.clear();
+}
+
+void Channel::SyncTopologyVersion() {
   const uint64_t version = propagation_->topology_version();
   if (version != receivers_version_) {
-    receivers_.clear();
     receivers_version_ = version;
+    InvalidateReceiverLists();
   }
-  auto [it, fresh] = receivers_.try_emplace(sender);
-  if (fresh) {
-    for (const Receiver& receiver : attached_) {
-      if (receiver.node != sender && propagation_->Reaches(sender, receiver.node)) {
-        it->second.push_back(receiver);
-      }
+}
+
+void Channel::BuildReceivers(NodeId sender, std::vector<Receiver>* out) const {
+  for (const Receiver& receiver : attached_) {
+    if (receiver.node != sender && propagation_->Reaches(sender, receiver.node)) {
+      out->push_back(receiver);
     }
+  }
+}
+
+const std::vector<Channel::Receiver>& Channel::ReceiversOf(ChannelPort port) {
+  SyncTopologyVersion();
+  ReceiverSlot& slot = slots_[port];
+  if (slot.receivers_epoch != lists_epoch_) {
+    slot.receivers.clear();
+    BuildReceivers(slot.node, &slot.receivers);
+    slot.receivers_epoch = lists_epoch_;
+  }
+  return slot.receivers;
+}
+
+const std::vector<Channel::Receiver>& Channel::RemoteReceiversOf(NodeId sender) {
+  SyncTopologyVersion();
+  auto [it, fresh] = remote_receivers_.try_emplace(sender);
+  if (fresh) {
+    BuildReceivers(sender, &it->second);
   }
   return it->second;
 }
 
 std::vector<NodeId> Channel::ReceiverIds(NodeId sender) {
+  auto it = slot_of_.find(sender);
+  const std::vector<Receiver>& receivers =
+      it == slot_of_.end() ? RemoteReceiversOf(sender) : ReceiversOf(it->second);
   std::vector<NodeId> ids;
-  for (const Receiver& receiver : ReceiversOf(sender)) {
+  for (const Receiver& receiver : receivers) {
     ids.push_back(receiver.node);
   }
   return ids;
 }
 
-bool Channel::CarrierBusyAt(NodeId node) {
+bool Channel::CarrierBusyAt(ChannelPort port) {
+  const NodeId node = slots_[port].node;
   for (const TxSlab& slab : tx_slabs_) {
     if (!slab.live) {
       continue;
     }
-    if (slab.tx.sender == node) {
+    if (slab.tx.sender_slot == port) {
       return true;
     }
-    const std::vector<Receiver>& receivers = ReceiversOf(slab.tx.sender);
+    const std::vector<Receiver>& receivers = ReceiversOf(slab.tx.sender_slot);
     auto it = std::lower_bound(receivers.begin(), receivers.end(), node, NodeBelow<Receiver>);
     if (it != receivers.end() && it->node == node) {
       return true;
@@ -193,13 +208,16 @@ Channel::ActiveTx* Channel::ResolveTx(uint64_t tx_id) {
   return &slab.tx;
 }
 
-void Channel::Transmit(NodeId sender, Fragment fragment, SimDuration duration) {
+void Channel::Transmit(ChannelPort port, Fragment fragment, SimDuration duration) {
   const uint64_t tx_id = AllocTx();
+  ReceiverSlot& self = slots_[port];
+  const NodeId sender = self.node;
   ++stats_.transmissions;
-  ++node_stats_[sender].transmissions;
+  ++self.stats.transmissions;
 
   ActiveTx tx;
   tx.sender = sender;
+  tx.sender_slot = port;
   tx.fragment = std::move(fragment);
   tx.start = sim_->now();
   tx.duration = duration;
@@ -209,13 +227,11 @@ void Channel::Transmit(NodeId sender, Fragment fragment, SimDuration duration) {
   }
 
   // Half-duplex: the sender's own in-progress receptions are destroyed.
-  if (const ReceiverSlot* self = FindSlot(sender)) {
-    for (const auto& [other_tx, index] : self->in_air) {
-      ResolveTx(other_tx)->receptions[index].corrupted = true;
-    }
+  for (const auto& [other_tx, index] : self.in_air) {
+    ResolveTx(other_tx)->receptions[index].corrupted = true;
   }
 
-  const std::vector<Receiver>& receivers = ReceiversOf(sender);
+  const std::vector<Receiver>& receivers = ReceiversOf(port);
   stats_.receivers_scanned += receivers.size();
   for (const Receiver& receiver : receivers) {
     ChannelEndpoint* endpoint = receiver.endpoint;
@@ -224,7 +240,7 @@ void Channel::Transmit(NodeId sender, Fragment fragment, SimDuration duration) {
     }
     ++stats_.receptions_attempted;
     ReceiverSlot& slot = slots_[receiver.slot];
-    ++slot.stats->receptions_attempted;
+    ++slot.stats.receptions_attempted;
     bool corrupted = endpoint->IsTransmitting();
     // Overlap with anything already in the air at this receiver corrupts
     // both frames (no capture).
@@ -234,8 +250,7 @@ void Channel::Transmit(NodeId sender, Fragment fragment, SimDuration duration) {
         ResolveTx(other_tx)->receptions[index].corrupted = true;
       }
     }
-    tx.receptions.push_back(
-        Reception{receiver.node, corrupted, false, endpoint, slot.stats, receiver.slot});
+    tx.receptions.push_back(Reception{receiver.node, corrupted, false, endpoint, receiver.slot});
     slot.in_air.emplace_back(tx_id, tx.receptions.size() - 1);
   }
 
@@ -249,7 +264,7 @@ void Channel::Transmit(NodeId sender, Fragment fragment, SimDuration duration) {
 
 void Channel::DeliverRemote(NodeId sender, const Fragment& fragment, SimDuration airtime) {
   const uint64_t link_packet = (static_cast<uint64_t>(fragment.src) << 32) | fragment.message_seq;
-  const std::vector<Receiver>& receivers = ReceiversOf(sender);
+  const std::vector<Receiver>& receivers = RemoteReceiversOf(sender);
   stats_.receivers_scanned += receivers.size();
   for (const Receiver& receiver : receivers) {
     const NodeId node = receiver.node;
@@ -258,8 +273,8 @@ void Channel::DeliverRemote(NodeId sender, const Fragment& fragment, SimDuration
       continue;
     }
     ++stats_.receptions_attempted;
-    const ReceiverSlot& slot = slots_[receiver.slot];
-    ChannelStats& receiver_stats = *slot.stats;
+    ReceiverSlot& slot = slots_[receiver.slot];
+    ChannelStats& receiver_stats = slot.stats;
     ++receiver_stats.receptions_attempted;
     // Mid-reception of a local frame: the remote frame is lost to overlap
     // (the local frame survives — see the header on the border model).
@@ -312,7 +327,8 @@ void Channel::FinishTransmit(uint64_t tx_id) {
       continue;
     }
     // Unregister this reception from the receiver's in-air list.
-    auto& list = slots_[reception.slot].in_air;
+    ReceiverSlot& slot = slots_[reception.slot];
+    auto& list = slot.in_air;
     for (auto list_it = list.begin(); list_it != list.end(); ++list_it) {
       if (list_it->first == tx_id && list_it->second == i) {
         list.erase(list_it);
@@ -321,7 +337,7 @@ void Channel::FinishTransmit(uint64_t tx_id) {
     }
 
     ChannelEndpoint* endpoint = reception.endpoint;
-    ChannelStats* receiver_stats = reception.stats;
+    ChannelStats* receiver_stats = &slot.stats;
     if (!endpoint->IsAlive()) {
       continue;
     }

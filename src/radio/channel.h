@@ -13,6 +13,13 @@
 // O(attached endpoints), and receivers resolve in id order, so the
 // per-receiver RNG draws depend on neither hash-table layout nor attach
 // order.
+//
+// Every id that ever attaches gets a port: the index of its slot in one flat
+// vector. The slot holds everything the per-frame path needs about that id
+// — its in-air receptions, its receiver list as a sender and its counters —
+// so Transmit, FinishTransmit and CarrierBusyAt index slots by port and do
+// no hash lookups. Ports survive detach/reattach. Only Attach/Detach,
+// NodeStats* and DeliverRemote's remote senders look ids up.
 
 #ifndef SRC_RADIO_CHANNEL_H_
 #define SRC_RADIO_CHANNEL_H_
@@ -67,6 +74,9 @@ struct ChannelStats {
   uint64_t receivers_scanned = 0;
 };
 
+// An attached id's slot index in its channel (see Channel::Attach).
+using ChannelPort = uint32_t;
+
 // `a - b`, field-wise. Used for per-endpoint deltas across a reattach.
 ChannelStats operator-(const ChannelStats& a, const ChannelStats& b);
 
@@ -79,24 +89,29 @@ class DIFFUSION_THREAD_COMPATIBLE Channel {
  public:
   Channel(Simulator* sim, std::unique_ptr<PropagationModel> propagation);
 
-  void Attach(ChannelEndpoint* endpoint);
+  // Attaches `endpoint` under its node id and returns the id's port. An id
+  // keeps the port it got at its first Attach through any later
+  // Detach/Attach, also when a new endpoint attaches under it. Memory grows
+  // with the number of distinct ids attached, not with the largest id.
+  ChannelPort Attach(ChannelEndpoint* endpoint);
 
   // Detaches `node` and scrubs its in-flight receptions: transmissions still
   // on the air stop targeting it, so a node detached mid-flight neither
   // receives the frame nor counts toward collision/loss statistics — even if
   // a new endpoint re-attaches under the same id before they resolve. The
-  // node's per-endpoint counters are parked and restored by a later Attach
-  // under the same id (see NodeStats / NodeStatsSinceAttach).
+  // node keeps its port, and its per-endpoint counters stay parked in the
+  // port's slot for a later Attach under the same id (see NodeStats /
+  // NodeStatsSinceAttach).
   void Detach(NodeId node);
 
-  // True if any in-flight transmission puts energy at `node` (including the
-  // node's own transmission). Answered from the senders' receiver lists, so
-  // `node` must be attached.
-  bool CarrierBusyAt(NodeId node);
+  // True if any in-flight transmission puts energy at the endpoint on
+  // `port` (including its own transmission). Answered from the senders'
+  // receiver lists, so the endpoint must be attached.
+  bool CarrierBusyAt(ChannelPort port);
 
-  // Puts `fragment` on the air for `duration`. Reception outcomes resolve
-  // when the transmission ends.
-  void Transmit(NodeId sender, Fragment fragment, SimDuration duration);
+  // Puts `fragment` on the air for `duration`, sent by the endpoint on
+  // `port`. Reception outcomes resolve when the transmission ends.
+  void Transmit(ChannelPort port, Fragment fragment, SimDuration duration);
 
   // Installs (or clears, with nullptr) the transmission observer. Called for
   // every Transmit, after the transmission is on the air — i.e. on the
@@ -124,9 +139,9 @@ class DIFFUSION_THREAD_COMPATIBLE Channel {
   Simulator& simulator() { return *sim_; }
 
   // Per-endpoint accounting: `transmissions` counts `node` as sender, the
-  // reception fields count it as receiver. Counters survive a Detach/Attach
-  // cycle (Detach parks them, Attach restores them), so a node that blacks
-  // out and returns keeps lifetime-accurate totals. Zeros for unknown nodes.
+  // reception fields count it as receiver. The counters live in the node's
+  // slot, so they survive a Detach/Attach cycle and a node that blacks out
+  // and returns keeps lifetime-accurate totals. Zeros for unknown nodes.
   ChannelStats NodeStats(NodeId node) const;
 
   // The same counters measured from the node's most recent Attach only —
@@ -144,16 +159,14 @@ class DIFFUSION_THREAD_COMPATIBLE Channel {
     // Set when the receiver detached mid-flight: the reception resolves to
     // nothing (no delivery, no stats).
     bool cancelled = false;
-    // Resolved at Transmit so FinishTransmit needs no map lookups. Both stay
-    // valid while the reception is live: Detach cancels the reception before
-    // invalidating either (and node_stats_ values are node-based, so other
-    // nodes' inserts never move them).
+    // Resolved at Transmit so FinishTransmit needs no map lookups. Valid
+    // while the reception is live: Detach cancels the reception first.
     ChannelEndpoint* endpoint = nullptr;
-    ChannelStats* stats = nullptr;
-    uint32_t slot = 0;  // the receiver's index into slots_
+    ChannelPort slot = 0;  // the receiver's port
   };
   struct ActiveTx {
     NodeId sender;
+    ChannelPort sender_slot;
     Fragment fragment;
     SimTime start;
     SimDuration duration;
@@ -168,28 +181,42 @@ class DIFFUSION_THREAD_COMPATIBLE Channel {
   uint64_t AllocTx();
   ActiveTx* ResolveTx(uint64_t tx_id);
 
-  // Per-receiver bookkeeping. Slots are assigned once per node id at first
-  // Attach and survive detach/reattach; in_air keeps its capacity across
-  // transmissions. Memory grows with the number of distinct ids attached,
-  // not with the largest id.
-  struct ReceiverSlot {
-    std::vector<std::pair<uint64_t, size_t>> in_air;  // (tx id, reception idx)
-    ChannelStats* stats = nullptr;  // into node_stats_ (node-based, stable)
-  };
-  // The receiver slot of `node`, or null if it never attached.
-  ReceiverSlot* FindSlot(NodeId node);
-
-  // An attached endpoint and its receiver slot, so the per-receiver loops
-  // need no second lookup.
+  // An attached endpoint and its port, so the per-receiver loops need no
+  // second lookup.
   struct Receiver {
     NodeId node;
     ChannelEndpoint* endpoint;
-    uint32_t slot;
+    ChannelPort slot;
   };
-  // The attached endpoints `sender` reaches (sender excluded), ascending by
-  // id. Built on first use; valid until the next Attach, Detach or topology
-  // version change, which is checked here.
-  const std::vector<Receiver>& ReceiversOf(NodeId sender);
+
+  // Per-id bookkeeping, one per port; what every reception touches comes
+  // first. in_air and receivers keep their capacity across transmissions
+  // and list rebuilds.
+  struct ReceiverSlot {
+    std::vector<std::pair<uint64_t, size_t>> in_air;  // (tx id, reception idx)
+    ChannelStats stats;  // lifetime counters, parked while detached
+    NodeId node = 0;
+    bool attached = false;
+    // This id's receiver list as a sender; current while receivers_epoch
+    // equals the channel's lists_epoch_.
+    std::vector<Receiver> receivers;
+    uint64_t receivers_epoch = 0;
+    ChannelStats attach_base;  // stats at the latest Attach
+  };
+
+  // The attached endpoints the sender on `port` reaches (sender excluded),
+  // ascending by id. Built on first use; valid until the next Attach, Detach
+  // or topology version change, which is checked here.
+  const std::vector<Receiver>& ReceiversOf(ChannelPort port);
+  // The same for a sender that has no port here (DeliverRemote).
+  const std::vector<Receiver>& RemoteReceiversOf(NodeId sender);
+  // Fills `out` with the attached endpoints `sender` reaches.
+  void BuildReceivers(NodeId sender, std::vector<Receiver>* out) const;
+  // Marks every receiver list stale (an endpoint came or went).
+  void InvalidateReceiverLists();
+  // InvalidateReceiverLists when the propagation model's topology version
+  // moved since the lists were built.
+  void SyncTopologyVersion();
 
   Simulator* sim_;
   std::unique_ptr<PropagationModel> propagation_;
@@ -198,10 +225,11 @@ class DIFFUSION_THREAD_COMPATIBLE Channel {
   // Every attached endpoint, ascending by id; receiver lists are filtered
   // from it and so come out in id order.
   std::vector<Receiver> attached_;
-  // Sender id -> receiver list; remote senders (DeliverRemote) get one too.
-  std::unordered_map<NodeId, std::vector<Receiver>> receivers_;
+  uint64_t lists_epoch_ = 1;        // bumped whenever every list goes stale
   uint64_t receivers_version_ = 0;  // topology_version() the lists match
-  std::unordered_map<NodeId, uint32_t> slot_of_;  // node id -> index into slots_
+  // Remote sender id -> receiver list (DeliverRemote).
+  std::unordered_map<NodeId, std::vector<Receiver>> remote_receivers_;
+  std::unordered_map<NodeId, ChannelPort> slot_of_;  // node id -> port
   std::vector<ReceiverSlot> slots_;
   struct TxSlab {
     ActiveTx tx;
@@ -212,12 +240,6 @@ class DIFFUSION_THREAD_COMPATIBLE Channel {
   std::vector<uint32_t> free_tx_slots_;
   std::vector<std::vector<Reception>> recycled_receptions_;
   ChannelStats stats_;
-  // Per-endpoint counters for currently attached nodes, plus the parked
-  // snapshots of detached ones and each node's counter value at its latest
-  // Attach (the NodeStatsSinceAttach baseline).
-  std::unordered_map<NodeId, ChannelStats> node_stats_;
-  std::unordered_map<NodeId, ChannelStats> parked_stats_;
-  std::unordered_map<NodeId, ChannelStats> attach_base_;
 };
 
 }  // namespace diffusion

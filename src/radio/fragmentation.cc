@@ -30,46 +30,90 @@ std::vector<Fragment> SplitMessage(NodeId src, NodeId dst, uint32_t message_seq,
 
 std::optional<Reassembler::Completed> Reassembler::Add(const Fragment& fragment, SimTime now) {
   Purge(now);
-  const Key key = MakeKey(fragment.src, fragment.message_seq);
-  Partial& partial = pending_[key];
-  if (partial.have.empty()) {
+  if (fragment.index >= fragment.count) {
+    return std::nullopt;
+  }
+  const uint64_t key = MakeKey(fragment.src, fragment.message_seq);
+  size_t at = 0;
+  while (at < pending_.size() && pending_[at].key != key) {
+    ++at;
+  }
+  if (at < pending_.size() && pending_[at].count != fragment.count) {
+    // Inconsistent fragment stream (e.g. sender restarted its counter);
+    // restart collection from this fragment.
+    Erase(at);
+    at = pending_.size();
+  }
+  if (fragment.count == 1) {
+    return Completed{fragment.src, fragment.dst, fragment.body};
+  }
+  if (at == pending_.size()) {
+    Partial& partial = pending_.emplace_back();
+    partial.key = key;
     partial.first_seen = now;
     partial.dst = fragment.dst;
     partial.count = fragment.count;
-    partial.received = 0;
-    partial.have.assign(fragment.count, false);
+    if (fragment.count > 64) {
+      partial.have.assign(fragment.count, false);
+    }
     // Every fragment of a message shares one body; track arrival only.
     partial.body = fragment.body;
+    purge_at_ = std::min(purge_at_, now + timeout_);
   }
-  if (fragment.count != partial.count || fragment.index >= partial.count) {
-    // Inconsistent fragment stream (e.g. sender restarted its counter);
-    // restart collection from this fragment.
-    pending_.erase(key);
-    return Add(fragment, now);
-  }
-  if (!partial.have[fragment.index]) {
-    partial.have[fragment.index] = true;
+  Partial& partial = pending_[at];
+  if (MarkArrived(partial, fragment.index)) {
     ++partial.received;
   }
   if (partial.received < partial.count) {
     return std::nullopt;
   }
-  Completed completed;
-  completed.src = fragment.src;
-  completed.dst = partial.dst;
-  completed.body = std::move(partial.body);
-  pending_.erase(key);
+  Completed completed{fragment.src, partial.dst, std::move(partial.body)};
+  Erase(at);
   return completed;
 }
 
+bool Reassembler::MarkArrived(Partial& partial, uint16_t index) {
+  if (partial.count > 64) {
+    if (partial.have[index]) {
+      return false;
+    }
+    partial.have[index] = true;
+    return true;
+  }
+  const uint64_t bit = uint64_t{1} << index;
+  if ((partial.have_bits & bit) != 0) {
+    return false;
+  }
+  partial.have_bits |= bit;
+  return true;
+}
+
+void Reassembler::Erase(size_t i) {
+  if (i + 1 != pending_.size()) {
+    pending_[i] = std::move(pending_.back());
+  }
+  pending_.pop_back();
+}
+
 void Reassembler::Purge(SimTime now) {
-  for (auto it = pending_.begin(); it != pending_.end();) {
-    if (now - it->second.first_seen > timeout_) {
-      it = pending_.erase(it);
+  if (now <= purge_at_) {
+    return;
+  }
+  purge_scans_ += pending_.size();
+  purge_at_ = kMaxSimTime;
+  for (size_t i = 0; i < pending_.size();) {
+    if (now - pending_[i].first_seen > timeout_) {
+      Erase(i);
     } else {
-      ++it;
+      purge_at_ = std::min(purge_at_, pending_[i].first_seen + timeout_);
+      ++i;
     }
   }
+}
+
+void Reassembler::Clear() {
+  pending_.clear();
+  purge_at_ = kMaxSimTime;
 }
 
 }  // namespace diffusion

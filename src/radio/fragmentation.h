@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "src/radio/position.h"
@@ -50,6 +49,14 @@ std::vector<Fragment> SplitMessage(NodeId src, NodeId dst, uint32_t message_seq,
 // Collects fragments until a message completes. Incomplete messages are
 // purged after `timeout`; a message with a lost fragment therefore never
 // surfaces, matching the no-ARQ radio.
+//
+// Partial messages live in one flat vector keyed by (src, seq), each with an
+// inline arrival bitmask (a separate bit vector only past 64 fragments), so
+// collecting a message allocates nothing per message, and a single-fragment
+// message completes without being stored at all. Purging is gated by a
+// watermark, the earliest time any partial can expire (oldest first_seen +
+// timeout): Purge scans the partials only once `now` passes it. A fragment
+// whose index is not below its count is malformed and is dropped.
 class Reassembler {
  public:
   explicit Reassembler(SimDuration timeout) : timeout_(timeout) {}
@@ -68,24 +75,36 @@ class Reassembler {
   void Purge(SimTime now);
 
   // Drops every partial message (a dead radio keeps no reassembly state).
-  void Clear() { pending_.clear(); }
+  void Clear();
 
   size_t pending() const { return pending_.size(); }
 
+  // Partials visited by Purge's expiry scans (a work counter).
+  uint64_t purge_scans() const { return purge_scans_; }
+
  private:
   struct Partial {
-    SimTime first_seen;
-    NodeId dst;
-    uint16_t count;
-    uint16_t received;
-    std::vector<bool> have;
+    uint64_t key = 0;  // MakeKey(src, seq)
+    SimTime first_seen = 0;
+    NodeId dst = 0;
+    uint16_t count = 0;
+    uint16_t received = 0;
+    uint64_t have_bits = 0;  // arrival bits when count <= 64
+    std::vector<bool> have;  // arrival bits when count > 64
     BodyRef body;
   };
-  using Key = uint64_t;
-  static Key MakeKey(NodeId src, uint32_t seq) { return (static_cast<uint64_t>(src) << 32) | seq; }
+  static uint64_t MakeKey(NodeId src, uint32_t seq) {
+    return (static_cast<uint64_t>(src) << 32) | seq;
+  }
+  // Marks fragment `index` of `partial` arrived; false if it already had.
+  static bool MarkArrived(Partial& partial, uint16_t index);
+  // Removes pending_[i] (order of the rest is not kept).
+  void Erase(size_t i);
 
   SimDuration timeout_;
-  std::unordered_map<Key, Partial> pending_;
+  std::vector<Partial> pending_;
+  SimTime purge_at_ = kMaxSimTime;  // no partial expires until now passes this
+  uint64_t purge_scans_ = 0;
 };
 
 }  // namespace diffusion

@@ -21,9 +21,11 @@ SimTime NextAwakeTime(SimTime now, const MacConfig& config) {
   return (now / config.duty_period + 1) * config.duty_period;
 }
 
-CsmaMac::CsmaMac(Simulator* sim, Channel* channel, ChannelEndpoint* endpoint, MacConfig config)
+CsmaMac::CsmaMac(Simulator* sim, Channel* channel, ChannelPort port, ChannelEndpoint* endpoint,
+                 MacConfig config)
     : sim_(sim),
       channel_(channel),
+      port_(port),
       endpoint_(endpoint),
       config_(config),
       rng_(sim->rng().Fork()) {}
@@ -248,7 +250,7 @@ void CsmaMac::Attempt() {
       return;
     }
   }
-  if (channel_->CarrierBusyAt(endpoint_->node_id())) {
+  if (channel_->CarrierBusyAt(port_)) {
     ++attempts_;
     if (attempts_ >= config_.max_attempts) {
       // The channel never cleared; give up on this frame (no ARQ).
@@ -286,7 +288,7 @@ void CsmaMac::Attempt() {
                            (static_cast<uint64_t>(fragment.src) << 32) | fragment.message_seq,
                            static_cast<int64_t>(fragment.WireSize())});
   }
-  channel_->Transmit(endpoint_->node_id(), std::move(fragment), airtime);
+  channel_->Transmit(port_, std::move(fragment), airtime);
   sim_->After(airtime, [this] { FinishTransmit(); });
 }
 

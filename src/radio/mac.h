@@ -167,7 +167,9 @@ struct MacStats {
 
 class CsmaMac {
  public:
-  CsmaMac(Simulator* sim, Channel* channel, ChannelEndpoint* endpoint, MacConfig config);
+  // `port` is the endpoint's port on `channel` (Channel::Attach).
+  CsmaMac(Simulator* sim, Channel* channel, ChannelPort port, ChannelEndpoint* endpoint,
+          MacConfig config);
 
   // Message-level admission for the rate (B3) and airtime (B5) shaping
   // layers, charged over the message's full set of fragments: dropping a
@@ -185,6 +187,7 @@ class CsmaMac {
   MacResult Enqueue(Fragment fragment);
 
   bool transmitting() const { return transmitting_; }
+  const MacConfig& config() const { return config_; }
   const MacStats& stats() const { return stats_; }
 
   // Drops all queued frames and cancels pending attempts (node death).
@@ -210,7 +213,11 @@ class CsmaMac {
 
   Simulator* sim_;
   Channel* channel_;
+  ChannelPort port_;
   ChannelEndpoint* endpoint_;
+  // Read by every channel frame that reaches this node (IsTransmitting), so
+  // it sits in the object's first cache line, ahead of config_.
+  bool transmitting_ = false;
   MacConfig config_;
   Rng rng_;
 
@@ -225,7 +232,6 @@ class CsmaMac {
   SimDuration airtime_reserved_ = 0;
 
   std::deque<Fragment> queue_;
-  bool transmitting_ = false;
   bool attempt_pending_ = false;
   int attempts_ = 0;
   EventId pending_event_ = kInvalidEventId;

@@ -6,11 +6,10 @@ Radio::Radio(Simulator* sim, Channel* channel, NodeId id, RadioConfig config)
     : sim_(sim),
       channel_(channel),
       id_(id),
-      config_(config),
-      mac_(sim, channel, this, config.mac),
-      reassembler_(config.reassembly_timeout) {
-  channel_->Attach(this);
-}
+      port_(channel->Attach(this)),
+      mac_(sim, channel, port_, this, config.mac),
+      reassembler_(config.reassembly_timeout),
+      fragment_payload_(config.fragment_payload) {}
 
 Radio::~Radio() { channel_->Detach(id_); }
 
@@ -26,8 +25,7 @@ bool Radio::SendBody(NodeId dst, BodyRef body, MacPriority priority, bool origin
   ++stats_.messages_sent;
   stats_.message_bytes_sent += body->wire_size();
   const uint32_t seq = next_message_seq_++;
-  std::vector<Fragment> fragments =
-      SplitMessage(id_, dst, seq, std::move(body), config_.fragment_payload);
+  std::vector<Fragment> fragments = SplitMessage(id_, dst, seq, std::move(body), fragment_payload_);
   for (Fragment& fragment : fragments) {
     fragment.priority = static_cast<uint8_t>(priority);
   }
@@ -83,6 +81,9 @@ void Radio::RegisterMetrics(MetricsRegistry* registry) const {
                             [this] { return static_cast<double>(stats_.fragments_received); });
   registry->RegisterCounter(id_, "radio.fragments_dropped",
                             [this] { return static_cast<double>(stats_.fragments_dropped); });
+  registry->RegisterCounter(id_, "radio.reassembly_purge_scans", [this] {
+    return static_cast<double>(reassembler_.purge_scans());
+  });
   registry->RegisterGauge(id_, "radio.time_receiving_s", [this] {
     return DurationToSeconds(stats_.time_receiving);
   });

@@ -80,32 +80,38 @@ class Radio : public ChannelEndpoint {
   const RadioStats& stats() const { return stats_; }
   const MacStats& mac_stats() const { return mac_.stats(); }
   SimDuration time_sending() const { return mac_.stats().time_sending; }
+  // Partials visited by the reassembler's expiry scans (a work counter).
+  uint64_t reassembly_purge_scans() const { return reassembler_.purge_scans(); }
 
   // Registers this radio's counters/gauges ("radio.*", "mac.*") for its node
   // id. The radio must outlive collections from `registry`.
   void RegisterMetrics(MetricsRegistry* registry) const;
 
   // Fraction of time this radio's receiver is powered (its MAC duty cycle).
-  double awake_fraction() const { return config_.mac.duty_cycle; }
+  double awake_fraction() const { return mac_.config().duty_cycle; }
 
   // ChannelEndpoint:
   NodeId node_id() const override { return id_; }
   bool IsAlive() const override { return alive_; }
   bool IsTransmitting() const override { return mac_.transmitting(); }
-  bool IsAwake() const override { return InAwakeWindow(sim_->now(), config_.mac); }
+  bool IsAwake() const override { return InAwakeWindow(sim_->now(), mac_.config()); }
   void OnFrameDelivered(const Fragment& fragment, SimDuration airtime) override;
 
  private:
+  // Every channel frame that reaches this node reads the first members and
+  // the head of mac_ (IsAlive, IsAwake, IsTransmitting, OnFrameDelivered),
+  // so they are declared together; the MAC keeps the one MacConfig copy.
   Simulator* sim_;
   Channel* channel_;
   NodeId id_;
-  RadioConfig config_;
+  ChannelPort port_;  // from channel_->Attach; declared before mac_, which uses it
+  bool alive_ = true;
+  uint32_t next_message_seq_ = 1;
   CsmaMac mac_;
+  RadioStats stats_;
   Reassembler reassembler_;
   ReceiveCallback receive_callback_;
-  uint32_t next_message_seq_ = 1;
-  bool alive_ = true;
-  RadioStats stats_;
+  size_t fragment_payload_;
 };
 
 }  // namespace diffusion

@@ -4,12 +4,16 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <unordered_set>
+
 #include "src/core/data_cache.h"
 #include "src/core/gradient_table.h"
 #include "src/core/message.h"
 #include "src/core/node.h"
 #include "src/naming/keys.h"
 #include "src/naming/matching.h"
+#include "src/util/rng.h"
 #include "tests/test_util.h"
 
 namespace diffusion {
@@ -123,6 +127,72 @@ TEST(DataCacheTest, SetAndOrderStayInLockStep) {
   EXPECT_FALSE(small.CheckAndInsert(1));  // re-inserted
   EXPECT_TRUE(small.CheckAndInsert(1));   // still present: a duplicate
   EXPECT_TRUE(small.ConsistencyCheck());
+}
+
+// The eviction semantics DataCache must keep, written the obvious way: a
+// membership set plus a FIFO of insertions.
+class ReferenceCache {
+ public:
+  explicit ReferenceCache(size_t capacity) : capacity_(capacity) {}
+
+  bool CheckAndInsert(uint64_t id) {
+    if (set_.contains(id)) {
+      ++hits_;
+      return true;
+    }
+    set_.insert(id);
+    order_.push_back(id);
+    while (set_.size() > capacity_) {
+      set_.erase(order_.front());
+      order_.pop_front();
+    }
+    return false;
+  }
+  void Clear() {
+    set_.clear();
+    order_.clear();
+  }
+  size_t size() const { return set_.size(); }
+  uint64_t hits() const { return hits_; }
+
+ private:
+  size_t capacity_;
+  uint64_t hits_ = 0;
+  std::unordered_set<uint64_t> set_;
+  std::deque<uint64_t> order_;
+};
+
+TEST(DataCacheTest, MatchesReferenceModel) {
+  for (const size_t capacity : {size_t{0}, size_t{1}, size_t{7}, size_t{4096}}) {
+    Rng rng(capacity + 17);
+    DataCache cache(capacity);
+    ReferenceCache reference(capacity);
+    // Ids drawn from a pool about twice the capacity recur as duplicates and
+    // as re-insertions after eviction; the rest are arbitrary 64-bit ids.
+    const int64_t pool = static_cast<int64_t>(2 * capacity + 8);
+    const int steps = capacity > 1000 ? 40000 : 4000;
+    for (int step = 0; step < steps; ++step) {
+      uint64_t id;
+      if (rng.NextInt(0, 9) == 0) {
+        id = rng.Next();
+      } else {
+        id = static_cast<uint64_t>(rng.NextInt(0, pool));
+      }
+      if (rng.NextInt(0, 999) == 0) {
+        cache.Clear();
+        reference.Clear();
+      }
+      ASSERT_EQ(cache.CheckAndInsert(id), reference.CheckAndInsert(id))
+          << "capacity " << capacity << ", step " << step << ", id " << id;
+      ASSERT_EQ(cache.hits(), reference.hits()) << "capacity " << capacity << ", step " << step;
+      ASSERT_EQ(cache.size(), reference.size()) << "capacity " << capacity << ", step " << step;
+      ASSERT_EQ(cache.order_size(), cache.size());
+      if (step % 97 == 0) {
+        ASSERT_TRUE(cache.ConsistencyCheck()) << "capacity " << capacity << ", step " << step;
+      }
+    }
+    EXPECT_TRUE(cache.ConsistencyCheck());
+  }
 }
 
 // ---- GradientTable ----

@@ -134,10 +134,18 @@ TEST_P(FuzzTest, FragmentationRoundTripRandomSizes) {
     }
     auto fragments = SplitMessage(3, 9, static_cast<uint32_t>(trial),
                                   ByteBody::Make(&pool, payload), max_payload);
-    // Deliver in random order, with one fragment duplicated.
+    // Deliver in random order, with one fragment duplicated and a few
+    // malformed ones under the same key: an index at or past the count
+    // (count 0 included) is dropped without disturbing the message.
     const int64_t last = static_cast<int64_t>(fragments.size()) - 1;
     Fragment duplicate = fragments[static_cast<size_t>(rng_.NextInt(0, last))];
     fragments.push_back(std::move(duplicate));
+    for (int bad = 0; bad < 3; ++bad) {
+      Fragment malformed = fragments[0];
+      malformed.count = static_cast<uint16_t>(rng_.NextInt(0, 80));
+      malformed.index = static_cast<uint16_t>(rng_.NextInt(malformed.count, 0xffff));
+      fragments.push_back(std::move(malformed));
+    }
     for (size_t i = fragments.size(); i > 1; --i) {
       std::swap(fragments[i - 1],
                 fragments[static_cast<size_t>(rng_.NextInt(0, static_cast<int64_t>(i) - 1))]);
@@ -154,6 +162,35 @@ TEST_P(FuzzTest, FragmentationRoundTripRandomSizes) {
     std::vector<uint8_t> bytes;
     completed->body->AppendBytes(&bytes);
     EXPECT_EQ(bytes, payload);
+  }
+}
+
+TEST_P(FuzzTest, ReassemblerSurvivesRandomFragmentHeaders) {
+  Arena arena;
+  SlotPool pool(&arena);
+  const BodyRef body = ByteBody::Make(&pool, std::vector<uint8_t>(8, 0x42));
+  Reassembler reassembler(kSecond);
+  SimTime now = 0;
+  for (int i = 0; i < 2000; ++i) {
+    Fragment fragment;
+    fragment.src = static_cast<NodeId>(rng_.NextInt(0, 3));
+    fragment.message_seq = static_cast<uint32_t>(rng_.NextInt(0, 3));
+    fragment.count = static_cast<uint16_t>(rng_.NextInt(0, 0xffff));
+    fragment.index = static_cast<uint16_t>(rng_.NextInt(0, 0xffff));
+    if (rng_.NextInt(0, 1) == 0) {
+      // Small in-range headers too, so some messages collect and complete.
+      fragment.count = static_cast<uint16_t>(rng_.NextInt(0, 4));
+      fragment.index = static_cast<uint16_t>(rng_.NextInt(0, 4));
+    }
+    fragment.body = body;
+    now += rng_.NextInt(0, 100 * kMillisecond);
+    const auto completed = reassembler.Add(fragment, now);
+    if (completed.has_value()) {
+      EXPECT_EQ(completed->body.get(), body.get());
+      EXPECT_EQ(completed->src, fragment.src);
+    }
+    // At most one partial per (src, seq) key.
+    ASSERT_LE(reassembler.pending(), 16u);
   }
 }
 

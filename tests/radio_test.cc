@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <set>
+
 #include "src/core/node.h"
 #include "src/naming/keys.h"
 #include "src/radio/channel.h"
@@ -187,6 +191,103 @@ TEST_F(FragmentationTest, InterleavedSendersReassembleIndependently) {
   auto done_a = reassembler.Add(fa[1], 0);
   ASSERT_TRUE(done_a.has_value());
   EXPECT_EQ(BodyBytes(*done_a->body), pa);
+}
+
+TEST_F(FragmentationTest, OutOfRangeFragmentIsDropped) {
+  // Regression: a fragment whose index is not below its count erased its
+  // fresh partial and re-added itself forever (a stack overflow).
+  Reassembler reassembler(kSecond);
+  const std::vector<uint8_t> payload(40, 0x5a);
+  const auto fragments = SplitMessage(1, 2, 1, Body(payload), 27);
+  ASSERT_EQ(fragments.size(), 2u);
+  Fragment past_end = fragments[0];
+  past_end.index = 2;
+  past_end.count = 2;
+  EXPECT_EQ(reassembler.Add(past_end, 0), std::nullopt);
+  EXPECT_EQ(reassembler.pending(), 0u);
+  Fragment no_count = fragments[0];
+  no_count.index = 0;
+  no_count.count = 0;
+  EXPECT_EQ(reassembler.Add(no_count, 0), std::nullopt);
+  EXPECT_EQ(reassembler.pending(), 0u);
+
+  // Dropping it leaves a message under the same key undisturbed.
+  EXPECT_EQ(reassembler.Add(fragments[0], 0), std::nullopt);
+  EXPECT_EQ(reassembler.Add(past_end, 0), std::nullopt);
+  EXPECT_EQ(reassembler.pending(), 1u);
+  const auto completed = reassembler.Add(fragments[1], 0);
+  ASSERT_TRUE(completed.has_value());
+  EXPECT_EQ(BodyBytes(*completed->body), payload);
+  EXPECT_EQ(reassembler.pending(), 0u);
+}
+
+TEST_F(FragmentationTest, InterleavedSendersWithTimeoutsMatchModel) {
+  // Fragments of many senders' messages arrive interleaved, some lost and
+  // some late. A message must surface exactly when all of its fragments
+  // arrived within the timeout of its first one, with its own body.
+  constexpr SimDuration kTimeout = kSecond;
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    struct Arrival {
+      SimTime at;
+      Fragment fragment;
+    };
+    struct Sent {
+      BodyRef body;
+      NodeId dst;
+      bool expected;
+    };
+    std::vector<Arrival> arrivals;
+    std::map<std::pair<NodeId, uint32_t>, Sent> sent;
+    for (NodeId src = 1; src <= 6; ++src) {
+      for (uint32_t seq = 1; seq <= 12; ++seq) {
+        // Mostly short messages, a few past the 64-fragment inline mask.
+        const size_t bytes = rng.NextInt(0, 9) == 0 ? static_cast<size_t>(rng.NextInt(65, 70))
+                                                    : static_cast<size_t>(rng.NextInt(0, 8));
+        const NodeId dst = static_cast<NodeId>(rng.NextInt(0, 3));
+        const BodyRef body = Body(std::vector<uint8_t>(bytes, static_cast<uint8_t>(seq)));
+        const SimTime start = rng.NextInt(0, 20 * kSecond);
+        SimTime first = kMaxSimTime;
+        SimTime last = 0;
+        bool all_arrived = true;
+        for (Fragment& fragment : SplitMessage(src, dst, seq, body, 1)) {
+          if (rng.NextInt(0, 19) == 0) {
+            all_arrived = false;  // lost on the air
+            continue;
+          }
+          const SimTime at = start + rng.NextInt(0, kTimeout * 3 / 2);
+          first = std::min(first, at);
+          last = std::max(last, at);
+          arrivals.push_back({at, std::move(fragment)});
+        }
+        sent[{src, seq}] = Sent{body, dst, all_arrived && last - first <= kTimeout};
+      }
+    }
+    std::stable_sort(arrivals.begin(), arrivals.end(),
+                     [](const Arrival& a, const Arrival& b) { return a.at < b.at; });
+
+    Reassembler reassembler(kTimeout);
+    std::set<std::pair<NodeId, uint32_t>> completed;
+    for (const Arrival& arrival : arrivals) {
+      const auto done = reassembler.Add(arrival.fragment, arrival.at);
+      if (!done.has_value()) {
+        continue;
+      }
+      const std::pair<NodeId, uint32_t> key{done->src, arrival.fragment.message_seq};
+      ASSERT_TRUE(completed.insert(key).second) << "seed " << seed << ": completed twice";
+      EXPECT_EQ(done->body.get(), sent[key].body.get()) << "seed " << seed;
+      EXPECT_EQ(done->dst, sent[key].dst) << "seed " << seed;
+    }
+    std::set<std::pair<NodeId, uint32_t>> expected;
+    for (const auto& [key, message] : sent) {
+      if (message.expected) {
+        expected.insert(key);
+      }
+    }
+    EXPECT_EQ(completed, expected) << "seed " << seed;
+    reassembler.Purge(30 * kSecond);
+    EXPECT_EQ(reassembler.pending(), 0u) << "seed " << seed;
+  }
 }
 
 // ---- Radio / channel / MAC end-to-end ----
@@ -410,8 +511,8 @@ TEST(ChannelTest, DetachMidFlightScrubsReceptions) {
   RecordingEndpoint tx_a(1, /*transmitting=*/true);
   RecordingEndpoint tx_b(2, /*transmitting=*/true);
   RecordingEndpoint receiver(3);
-  channel->Attach(&tx_a);
-  channel->Attach(&tx_b);
+  const ChannelPort port_a = channel->Attach(&tx_a);
+  const ChannelPort port_b = channel->Attach(&tx_b);
   channel->Attach(&receiver);
 
   // Two transmissions overlap at node 3 for their whole duration.
@@ -423,8 +524,8 @@ TEST(ChannelTest, DetachMidFlightScrubsReceptions) {
   frame_b.src = 2;
   frame_b.body = ByteBody::Make(&sim.slot_pool(), std::vector<uint8_t>(20, 0xbb));
   frame_b.payload_len = 20;
-  sim.After(0, [&] { channel->Transmit(1, frame_a, 10 * kMillisecond); });
-  sim.After(kMillisecond, [&] { channel->Transmit(2, frame_b, 10 * kMillisecond); });
+  sim.After(0, [&] { channel->Transmit(port_a, frame_a, 10 * kMillisecond); });
+  sim.After(kMillisecond, [&] { channel->Transmit(port_b, frame_b, 10 * kMillisecond); });
 
   // Node 3 detaches mid-flight and re-attaches (fresh endpoint, same id)
   // before either transmission ends.
@@ -450,14 +551,14 @@ TEST(ChannelTest, DetachedReceiverStopsMidFlightCleanly) {
   auto channel = MakeLineChannel(&sim, 2);
   RecordingEndpoint sender(1);
   RecordingEndpoint receiver(2);
-  channel->Attach(&sender);
+  const ChannelPort port = channel->Attach(&sender);
   channel->Attach(&receiver);
 
   Fragment frame;
   frame.src = 1;
   frame.body = ByteBody::Make(&sim.slot_pool(), std::vector<uint8_t>(20, 0x11));
   frame.payload_len = 20;
-  sim.After(0, [&] { channel->Transmit(1, frame, 10 * kMillisecond); });
+  sim.After(0, [&] { channel->Transmit(port, frame, 10 * kMillisecond); });
   sim.After(5 * kMillisecond, [&] { channel->Detach(2); });
   sim.RunUntil(kSecond);
 
@@ -465,6 +566,53 @@ TEST(ChannelTest, DetachedReceiverStopsMidFlightCleanly) {
   EXPECT_EQ(channel->stats().collisions, 0u);
   EXPECT_EQ(channel->stats().propagation_losses, 0u);
   EXPECT_EQ(channel->stats().deliveries, 0u);
+}
+
+TEST(ChannelTest, ReattachKeepsPortAndCounters) {
+  Simulator sim(14);
+  auto channel = MakeLineChannel(&sim, 3);
+  RecordingEndpoint sender(1);
+  RecordingEndpoint middle(2);
+  RecordingEndpoint far(3);
+  const ChannelPort sender_port = channel->Attach(&sender);
+  const ChannelPort middle_port = channel->Attach(&middle);
+  EXPECT_NE(sender_port, middle_port);
+  channel->Attach(&far);
+
+  Fragment frame;
+  frame.src = 1;
+  frame.body = ByteBody::Make(&sim.slot_pool(), std::vector<uint8_t>(20, 0x22));
+  frame.payload_len = 20;
+  sim.After(0, [&] { channel->Transmit(sender_port, frame, 10 * kMillisecond); });
+  sim.After(20 * kMillisecond, [&] { channel->Transmit(middle_port, frame, 10 * kMillisecond); });
+  sim.RunUntil(kSecond);
+  const ChannelStats before = channel->NodeStats(2);
+  ASSERT_EQ(before.transmissions, 1u);
+  ASSERT_GT(before.receptions_attempted, 0u);
+
+  auto fields = [](const ChannelStats& stats) {
+    return std::vector<uint64_t>{stats.transmissions, stats.receptions_attempted,
+                                 stats.collisions, stats.propagation_losses, stats.deliveries,
+                                 stats.receivers_scanned};
+  };
+  const std::vector<uint64_t> zeros(6, 0);
+  channel->Detach(2);
+  EXPECT_EQ(fields(channel->NodeStats(2)), fields(before));
+  EXPECT_EQ(fields(channel->NodeStatsSinceAttach(2)), zeros);
+  // The same endpoint, and a fresh one under the same id, get the old port.
+  EXPECT_EQ(channel->Attach(&middle), middle_port);
+  channel->Detach(2);
+  RecordingEndpoint reborn(2);
+  EXPECT_EQ(channel->Attach(&reborn), middle_port);
+  EXPECT_EQ(fields(channel->NodeStats(2)), fields(before));
+  EXPECT_EQ(fields(channel->NodeStatsSinceAttach(2)), zeros);
+
+  // Traffic after the reattach counts into both views.
+  sim.After(0, [&] { channel->Transmit(middle_port, frame, 10 * kMillisecond); });
+  sim.RunUntil(2 * kSecond);
+  const ChannelStats since = channel->NodeStatsSinceAttach(2);
+  EXPECT_EQ(since.transmissions, 1u);
+  EXPECT_EQ(fields(channel->NodeStats(2) - since), fields(before));
 }
 
 // Fingerprint and per-node counters of one lossy, colliding 5x5 grid run.
@@ -621,7 +769,8 @@ TEST(MacTest, AirtimeScalesWithBytes) {
   config.frame_overhead_bytes = 8;
   Radio radio(&sim, channel.get(), 1, RadioConfig{config, 27, 10 * kSecond});
   // A full 27-byte fragment: (27 + 16 header + 8 overhead) * 8 bits / 13kbps.
-  CsmaMac mac(&sim, channel.get(), &radio, config);
+  // Re-attaching the radio returns the port it already holds.
+  CsmaMac mac(&sim, channel.get(), channel->Attach(&radio), &radio, config);
   const SimDuration airtime = mac.FrameAirtime(Fragment::kHeaderBytes + 27);
   const double expected_s = (27.0 + Fragment::kHeaderBytes + 8.0) * 8.0 / 13000.0;
   EXPECT_NEAR(DurationToSeconds(airtime), expected_s, 1e-6);
