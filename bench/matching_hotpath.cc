@@ -15,33 +15,17 @@
 //    (ExactMatchLinear); the fast path's precomputed order-insensitive hash
 //    rejects non-equal sets in O(1).
 //
-//  * inequality at scale — the standalone pub/sub configuration: a
-//    million-entry MatchIndex keyed on a numeric attribute, where nearly every
-//    filter is an inequality (narrow [c, c+w] ranges, selective GE tails, a
-//    sprinkling of EQ and NE). The pre-PR index classified every inequality
-//    formal into the any-scan group, so its candidate set was O(filters) per
-//    message; that baseline count is computed arithmetically (replaying the
-//    old classifier) rather than timed — scanning a million filters per
-//    message is the thing this PR deletes. The interval/endpoint index is
-//    then measured for real: candidate-set size, per-message dispatch time,
-//    and batched dispatch time via ForEachCandidateBatch.
-//
 // Emits BENCH_matching.json ("diffusion-bench-v1" schema). Flags:
 //   --out=PATH              where to write the JSON (default BENCH_matching.json)
 //   --check=PATH            validate an existing file against the schema; no run
 //   --reps=N                timing repetitions (default 40)
-//   --filters=N             inequality-section index size (default 1000000)
-//   --require-speedup=X     exit non-zero unless both EQ speedups reach X
-//   --require-reduction=X   exit non-zero unless the inequality candidate-set
-//                           reduction reaches X; with --check, re-verifies the
-//                           ineq_candidate_reduction recorded in the file
+//   --require-speedup=X     exit non-zero unless both speedups reach X
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_flags.h"
@@ -224,67 +208,6 @@ size_t FindExactHashed(const std::vector<AttributeSet>& entries, const Msg& prob
   return entries.size();
 }
 
-// ---- Inequality-at-scale workload ----------------------------------------
-
-// One subscription of the standalone pub/sub corpus, classified the way the
-// pre-PR index would have classified it (EQ on the discriminator → value
-// bucket; anything else → any-scan).
-struct IneqEntry {
-  uint32_t id = 0;
-  AttributeSet attrs;
-  bool old_index_bucketed = false;  // EQ on the discriminator
-  uint64_t old_bucket_bits = 0;     // NormalizedBits of the EQ value
-};
-
-// Corpus mix: 80% narrow ranges (a geofence / band subscription), 10%
-// selective GE tails (threshold alarms), 8% EQ, 2% NE. Values live in
-// [0, 1e6]; range widths in [10, 200], so any single reading matches a few
-// dozen range subscriptions out of the whole million.
-std::vector<IneqEntry> MakeIneqFilters(size_t count, Rng* rng) {
-  std::vector<IneqEntry> filters;
-  filters.reserve(count);
-  auto uniform = [&](double lo, double hi) {
-    return lo + (hi - lo) * (static_cast<double>(rng->Next() >> 11) * 0x1.0p-53);
-  };
-  for (size_t i = 0; i < count; ++i) {
-    IneqEntry entry;
-    entry.id = static_cast<uint32_t>(i + 1);
-    const int kind = static_cast<int>(rng->NextInt(0, 99));
-    AttributeVector attrs;
-    if (kind < 80) {
-      const double lo = uniform(0.0, 1e6);
-      const double hi = lo + uniform(10.0, 200.0);
-      attrs.push_back(Attribute::Float64(kKeyConfidence, AttrOp::kGe, lo));
-      attrs.push_back(Attribute::Float64(kKeyConfidence, AttrOp::kLe, hi));
-    } else if (kind < 90) {
-      attrs.push_back(Attribute::Float64(kKeyConfidence, AttrOp::kGe, uniform(9.9e5, 1e6)));
-    } else if (kind < 98) {
-      const double value = uniform(0.0, 1e6);
-      attrs.push_back(Attribute::Float64(kKeyConfidence, AttrOp::kEq, value));
-      entry.old_index_bucketed = true;
-      entry.old_bucket_bits = MatchIndex::NormalizedBits(value);
-    } else {
-      attrs.push_back(Attribute::Float64(kKeyConfidence, AttrOp::kNe, uniform(0.0, 1e6)));
-    }
-    entry.attrs = std::move(attrs);
-    filters.push_back(std::move(entry));
-  }
-  return filters;
-}
-
-// A burst of single-reading messages, one kKeyConfidence actual each.
-std::vector<AttributeSet> MakeIneqMessages(size_t count, Rng* rng) {
-  std::vector<AttributeSet> messages;
-  messages.reserve(count);
-  for (size_t i = 0; i < count; ++i) {
-    const double value =
-        1e6 * (static_cast<double>(rng->Next() >> 11) * 0x1.0p-53);
-    messages.push_back(AttributeSet(
-        {Attribute::Float64(kKeyConfidence, AttrOp::kIs, value)}));
-  }
-  return messages;
-}
-
 // Nanoseconds per call of `fn` over the whole message stream, best of `reps`
 // (best-of tolerates scheduler noise better than the mean).
 template <typename Fn>
@@ -306,39 +229,18 @@ double TimeNsPerOp(int reps, size_t ops_per_rep, Fn&& fn) {
 }
 
 int Main(int argc, char** argv) {
-  const double require_reduction = std::strtod(
-      bench::StringFlag(argc, argv, "require-reduction", "0").c_str(), nullptr);
   const std::string check = bench::StringFlag(argc, argv, "check");
   if (!check.empty()) {
     std::string error;
-    std::vector<bench::BenchResult> results;
-    if (!bench::ValidateBenchJson(check, &error, &results)) {
+    if (!bench::ValidateBenchJson(check, &error)) {
       std::fprintf(stderr, "FAIL: %s\n", error.c_str());
       return 1;
-    }
-    if (require_reduction > 0.0) {
-      const bench::BenchResult* reduction =
-          bench::FindBenchResult(results, "ineq_candidate_reduction");
-      if (reduction == nullptr) {
-        std::fprintf(stderr, "FAIL: %s has no ineq_candidate_reduction metric\n", check.c_str());
-        return 1;
-      }
-      const double recorded = reduction->value;
-      if (recorded < require_reduction) {
-        std::fprintf(stderr,
-                     "FAIL: recorded ineq_candidate_reduction %.1fx below "
-                     "--require-reduction=%.1f\n",
-                     recorded, require_reduction);
-        return 1;
-      }
     }
     std::printf("%s: valid %s file\n", check.c_str(), bench::kBenchJsonSchema);
     return 0;
   }
 
   const int reps = static_cast<int>(bench::IntFlag(argc, argv, "reps", 40));
-  const size_t ineq_filters =
-      static_cast<size_t>(bench::IntFlag(argc, argv, "filters", 1000000));
   const std::string out = bench::StringFlag(argc, argv, "out", "BENCH_matching.json");
   const double require = std::strtod(
       bench::StringFlag(argc, argv, "require-speedup", "0").c_str(), nullptr);
@@ -346,7 +248,7 @@ int Main(int argc, char** argv) {
   Rng rng(1234);
   const std::vector<Entry> filters = MakeFilters();
   const std::vector<Msg> messages = MakeMessages(&rng);
-  MatchIndex index(kKeyClass);
+  MatchIndex index;
   for (const Entry& entry : filters) {
     index.Insert(entry.id, entry.priority, &entry.attrs);
   }
@@ -404,108 +306,6 @@ int Main(int argc, char** argv) {
   const double dispatch_speedup = dispatch_linear_ns / dispatch_indexed_ns;
   const double exact_speedup = exact_linear_ns / exact_hashed_ns;
 
-  // ---- Inequality at scale -----------------------------------------------
-  Rng ineq_rng(987654321);
-  const std::vector<IneqEntry> ineq = MakeIneqFilters(ineq_filters, &ineq_rng);
-  const std::vector<AttributeSet> ineq_messages = MakeIneqMessages(512, &ineq_rng);
-  MatchIndex ineq_index(kKeyConfidence);
-  std::unordered_map<uint64_t, uint64_t> old_eq_buckets;
-  uint64_t old_any_count = 0;
-  for (const IneqEntry& entry : ineq) {
-    if (!ineq_index.Insert(entry.id, 0, &entry.attrs)) {
-      std::fprintf(stderr, "FAIL: duplicate id in inequality corpus\n");
-      return 1;
-    }
-    if (entry.old_index_bucketed) {
-      ++old_eq_buckets[entry.old_bucket_bits];
-    } else {
-      ++old_any_count;
-    }
-  }
-
-  // Soundness spot-check against a full scan (a handful of messages — the
-  // randomized equivalence suite in tests/ is the exhaustive version).
-  for (size_t m = 0; m < ineq_messages.size(); m += 128) {
-    std::vector<uint32_t> candidates;
-    ineq_index.ForEachCandidate(ineq_messages[m], [&](const MatchIndexEntry& entry) {
-      if (OneWayMatch(*entry.attrs, ineq_messages[m])) {
-        candidates.push_back(entry.id);
-      }
-    });
-    std::sort(candidates.begin(), candidates.end());
-    size_t expected = 0;
-    for (const IneqEntry& entry : ineq) {
-      if (OneWayMatch(entry.attrs, ineq_messages[m])) {
-        ++expected;
-        if (!std::binary_search(candidates.begin(), candidates.end(), entry.id)) {
-          std::fprintf(stderr, "FAIL: index lost a matching entry (id=%u)\n", entry.id);
-          return 1;
-        }
-      }
-    }
-    if (expected != candidates.size()) {
-      std::fprintf(stderr, "FAIL: confirmed candidate count %zu != full-scan %zu\n",
-                   candidates.size(), expected);
-      return 1;
-    }
-  }
-
-  // Candidate-set sizes. The pre-PR baseline is arithmetic: every
-  // non-EQ-classified filter sat in the any-scan group, so each message
-  // visited all of them plus its EQ bucket.
-  uint64_t scan_candidates = 0;
-  uint64_t indexed_candidates = 0;
-  for (const AttributeSet& message : ineq_messages) {
-    scan_candidates += old_any_count;
-    for (const Attribute& attr : message.items()) {
-      if (attr.key() == kKeyConfidence && attr.op() == AttrOp::kIs) {
-        const auto it = old_eq_buckets.find(
-            MatchIndex::NormalizedBits(*attr.AsDouble()));
-        if (it != old_eq_buckets.end()) {
-          scan_candidates += it->second;
-        }
-      }
-    }
-    ineq_index.ForEachCandidate(message, [&](const MatchIndexEntry&) {
-      ++indexed_candidates;
-    });
-  }
-  const double ineq_scan_avg =
-      static_cast<double>(scan_candidates) / static_cast<double>(ineq_messages.size());
-  const double ineq_indexed_avg =
-      static_cast<double>(indexed_candidates) / static_cast<double>(ineq_messages.size());
-  const double ineq_reduction = ineq_scan_avg / ineq_indexed_avg;
-
-  // Dispatch timing over the index that exists; the O(filters) baseline is
-  // deliberately not timed at this scale.
-  const int ineq_reps = std::max(1, std::min(5, reps / 8));
-  const double ineq_dispatch_ns = TimeNsPerOp(ineq_reps, ineq_messages.size(), [&] {
-    uint64_t acc = 0;
-    for (const AttributeSet& message : ineq_messages) {
-      ineq_index.ForEachCandidate(message, [&](const MatchIndexEntry& entry) {
-        if (OneWayMatch(*entry.attrs, message)) {
-          acc += entry.id;
-        }
-      });
-    }
-    g_sink = acc;
-  });
-  std::vector<const AttributeSet*> ineq_ptrs;
-  for (const AttributeSet& message : ineq_messages) {
-    ineq_ptrs.push_back(&message);
-  }
-  const double ineq_batch_ns = TimeNsPerOp(ineq_reps, ineq_messages.size(), [&] {
-    uint64_t acc = 0;
-    ineq_index.ForEachCandidateBatch(
-        ineq_ptrs.data(), ineq_ptrs.size(),
-        [&](size_t i, const MatchIndexEntry& entry) {
-          if (OneWayMatch(*entry.attrs, *ineq_ptrs[i])) {
-            acc += entry.id;
-          }
-        });
-    g_sink = acc;
-  });
-
   std::printf("=== Matching hot path (64 filters, 256 messages, best of %d reps) ===\n\n", reps);
   std::printf("%-28s  %12s\n", "variant", "ns/message");
   std::printf("%-28s  %12.0f\n", "dispatch: full-chain linear", dispatch_linear_ns);
@@ -514,13 +314,6 @@ int Main(int argc, char** argv) {
   std::printf("%-28s  %12.0f\n", "exact: multiset compare", exact_linear_ns);
   std::printf("%-28s  %12.0f   (%.1fx)\n", "exact: hash pre-check", exact_hashed_ns,
               exact_speedup);
-  std::printf("\n=== Inequality at scale (%zu filters, %zu messages, best of %d reps) ===\n\n",
-              ineq_filters, ineq_messages.size(), ineq_reps);
-  std::printf("%-28s  %12.0f   candidates/message\n", "any-scan baseline", ineq_scan_avg);
-  std::printf("%-28s  %12.0f   candidates/message  (%.1fx fewer)\n", "interval index",
-              ineq_indexed_avg, ineq_reduction);
-  std::printf("%-28s  %12.0f   ns/message\n", "dispatch: per message", ineq_dispatch_ns);
-  std::printf("%-28s  %12.0f   ns/message\n", "dispatch: batched", ineq_batch_ns);
 
   if (!out.empty()) {
     const std::vector<bench::BenchResult> results = {
@@ -530,12 +323,6 @@ int Main(int argc, char** argv) {
         {"exact_linear_multiset", "ns/op", exact_linear_ns},
         {"exact_hash_precheck", "ns/op", exact_hashed_ns},
         {"exact_speedup", "x", exact_speedup},
-        {"ineq_filters", "count", static_cast<double>(ineq_filters)},
-        {"ineq_candidates_scan", "candidates/msg", ineq_scan_avg},
-        {"ineq_candidates_indexed", "candidates/msg", ineq_indexed_avg},
-        {"ineq_candidate_reduction", "x", ineq_reduction},
-        {"ineq_dispatch_indexed", "ns/op", ineq_dispatch_ns},
-        {"ineq_dispatch_batched", "ns/op", ineq_batch_ns},
     };
     if (!bench::WriteBenchJson(out, "matching_hotpath", results)) {
       return 1;
@@ -550,11 +337,6 @@ int Main(int argc, char** argv) {
 
   if (require > 0.0 && (dispatch_speedup < require || exact_speedup < require)) {
     std::fprintf(stderr, "FAIL: speedup below --require-speedup=%.1f\n", require);
-    return 1;
-  }
-  if (require_reduction > 0.0 && ineq_reduction < require_reduction) {
-    std::fprintf(stderr, "FAIL: candidate reduction %.1fx below --require-reduction=%.1f\n",
-                 ineq_reduction, require_reduction);
     return 1;
   }
   return 0;

@@ -246,122 +246,6 @@ ApiResult DiffusionNode::Send(PublicationHandle handle, const AttributeVector& e
   return ApiResult::kOk;
 }
 
-ApiResult DiffusionNode::SendBatch(PublicationHandle handle,
-                                   const std::vector<AttributeVector>& batch) {
-  if (batch.empty()) {
-    return ApiResult::kOk;
-  }
-  auto it = publications_.find(handle);
-  if (it == publications_.end()) {
-    return ApiResult::kUnknownHandle;
-  }
-  if (!alive_) {
-    return ApiResult::kNodeDead;
-  }
-
-  // Build every message's attribute set up front and select all filter
-  // winners with one batched index traversal.
-  std::vector<AttributeSet> all_attrs;
-  all_attrs.reserve(batch.size());
-  for (const AttributeVector& extra : batch) {
-    AttributeSet attrs = it->second.attrs;
-    attrs.Append(extra);
-    all_attrs.push_back(std::move(attrs));
-  }
-  std::vector<const AttributeSet*> ptrs;
-  ptrs.reserve(batch.size());
-  for (const AttributeSet& attrs : all_attrs) {
-    ptrs.push_back(&attrs);
-  }
-
-  struct Winner {
-    bool found = false;
-    int32_t priority = 0;
-    uint32_t id = 0;
-  };
-  std::vector<Winner> winners(batch.size());
-  const uint64_t chain_version = filter_index_.version();
-  filter_index_.ForEachCandidateBatch(
-      ptrs.data(), ptrs.size(), [&](size_t i, const MatchIndexEntry& entry) {
-        Winner& best = winners[i];
-        if (best.found && (entry.priority < best.priority ||
-                           (entry.priority == best.priority && entry.id >= best.id))) {
-          return;
-        }
-        if (OneWayMatch(*entry.attrs, all_attrs[i])) {
-          best.found = true;
-          best.priority = entry.priority;
-          best.id = entry.id;
-        }
-      });
-
-  // Replay Send's per-message logic in order. Filter callbacks run between
-  // messages, so the handle, liveness and filter chain are re-validated
-  // every iteration; a mutated chain (version bump) invalidates the
-  // precomputed winners, and the rest of the batch re-selects per message.
-  ApiResult result = ApiResult::kOk;
-  auto record = [&result](ApiResult r) {
-    if (result == ApiResult::kOk) {
-      result = r;
-    }
-  };
-  for (size_t i = 0; i < batch.size(); ++i) {
-    auto pub_it = publications_.find(handle);
-    if (pub_it == publications_.end()) {
-      record(ApiResult::kUnknownHandle);
-      continue;
-    }
-    if (!alive_) {
-      record(ApiResult::kNodeDead);
-      continue;
-    }
-    Publication& publication = pub_it->second;
-
-    Message message;
-    message.attrs = std::move(all_attrs[i]);
-
-    gradients_.Expire(sim_->now());
-    const std::vector<InterestEntry*> entries = gradients_.MatchData(message.attrs);
-    if (entries.empty()) {
-      record(ApiResult::kNoMatchingInterest);
-      continue;
-    }
-
-    bool exploratory = false;
-    if (config_.variant == DiffusionVariant::kTwoPhasePull) {
-      bool has_reinforced_path = false;
-      bool remote_demand = false;
-      for (const InterestEntry* entry : entries) {
-        if (entry->HasReinforcedGradient()) {
-          has_reinforced_path = true;
-        }
-        if (!entry->gradients.empty()) {
-          remote_demand = true;
-        }
-      }
-      exploratory =
-          config_.exploratory_every <= 1 ||
-          publication.send_count % static_cast<uint64_t>(config_.exploratory_every) == 0 ||
-          (remote_demand && !has_reinforced_path);
-    }
-    ++publication.send_count;
-
-    message.type = exploratory ? MessageType::kExploratoryData : MessageType::kData;
-    message.origin = id_;
-    message.origin_seq = NextSeq();
-    message.ttl = config_.flood_ttl;
-    ++stats_.data_originated;
-    if (filter_index_.version() == chain_version) {
-      const Winner& best = winners[i];
-      InvokeFilterOrCore(std::move(message),
-                         best.found ? std::optional<uint32_t>(best.id) : std::nullopt);
-    } else {
-      DispatchToChain(std::move(message), std::numeric_limits<int32_t>::max());
-    }
-  }
-  return result;
-}
-
 FilterHandle DiffusionNode::AddFilter(AttributeSet attrs, int16_t priority,
                                       FilterCallback callback) {
   Filter filter;
@@ -551,50 +435,36 @@ void DiffusionNode::ReceiveDecoded(NodeId from, Message message) {
 }
 
 void DiffusionNode::DispatchToChain(Message message, int32_t below_priority) {
-  const std::optional<uint32_t> winner = SelectFilter(message.attrs, below_priority);
-  InvokeFilterOrCore(std::move(message), winner);
-}
-
-std::optional<uint32_t> DiffusionNode::SelectFilter(const AttributeSet& attrs,
-                                                    int32_t below_priority) {
-  if (filter_index_.size() == 0) {
-    return std::nullopt;
-  }
   // Winner selection over index candidates only; ties break toward the
   // lowest handle, matching the old ascending full-chain scan.
   bool found = false;
   int32_t best_priority = 0;
   uint32_t best_id = 0;
-  filter_index_.ForEachCandidate(attrs, [&](const MatchIndexEntry& entry) {
-    if (entry.priority >= below_priority) {
-      return;
-    }
-    if (found && (entry.priority < best_priority ||
-                  (entry.priority == best_priority && entry.id >= best_id))) {
-      return;
-    }
-    // Filters trigger on a one-way match: the filter's formals must be
-    // satisfied by the message's actuals. (A message's own formals — e.g. an
-    // interest's comparisons — don't constrain which filters see it.)
-    if (OneWayMatch(*entry.attrs, attrs)) {
-      found = true;
-      best_priority = entry.priority;
-      best_id = entry.id;
-    }
-  });
-  if (!found) {
-    return std::nullopt;
+  if (filter_index_.size() != 0) {
+    filter_index_.ForEachCandidate(message.attrs, [&](const MatchIndexEntry& entry) {
+      if (entry.priority >= below_priority) {
+        return;
+      }
+      if (found && (entry.priority < best_priority ||
+                    (entry.priority == best_priority && entry.id >= best_id))) {
+        return;
+      }
+      // Filters trigger on a one-way match: the filter's formals must be
+      // satisfied by the message's actuals. (A message's own formals — e.g.
+      // an interest's comparisons — don't constrain which filters see it.)
+      if (OneWayMatch(*entry.attrs, message.attrs)) {
+        found = true;
+        best_priority = entry.priority;
+        best_id = entry.id;
+      }
+    });
   }
-  return best_id;
-}
-
-void DiffusionNode::InvokeFilterOrCore(Message message, std::optional<uint32_t> filter_id) {
-  if (!filter_id.has_value()) {
+  if (!found) {
     CoreProcess(message);
     return;
   }
   // Copy the callback: it may remove its own filter while running.
-  FilterCallback callback = filters_.find(FilterHandle{*filter_id})->second.callback;
+  FilterCallback callback = filters_.find(FilterHandle{best_id})->second.callback;
   callback(message, filter_api_);
 }
 

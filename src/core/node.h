@@ -141,15 +141,6 @@ class DiffusionNode {
   // locally (the data does not leave the node, §4.1).
   ApiResult Send(PublicationHandle handle, const AttributeVector& extra_attrs);
 
-  // Sends a burst of data messages, equivalent to calling Send once per
-  // element of `batch` in order, but with the filter-chain winner selection
-  // amortized over one batched index traversal. A filter callback that
-  // mutates the chain mid-batch invalidates the precomputed winners; the
-  // affected messages transparently fall back to per-message dispatch.
-  // Returns the first non-kOk result (remaining messages are still sent,
-  // exactly as separate Send calls would).
-  ApiResult SendBatch(PublicationHandle handle, const std::vector<AttributeVector>& batch);
-
   // ---- Figure 5: filter API ----
 
   // Registers an in-network processing filter. The filter triggers on every
@@ -245,15 +236,6 @@ class DiffusionNode {
   // strictly below `below_priority`; falls through to the core.
   void DispatchToChain(Message message, int32_t below_priority);
 
-  // Winner selection half of DispatchToChain: the id of the
-  // highest-priority filter (lowest id on ties) matching `attrs` with
-  // priority strictly below `below_priority`, or nullopt for "core".
-  std::optional<uint32_t> SelectFilter(const AttributeSet& attrs, int32_t below_priority);
-
-  // Hand-off half of DispatchToChain: invokes the selected filter (or the
-  // core when `filter_id` is nullopt).
-  void InvokeFilterOrCore(Message message, std::optional<uint32_t> filter_id);
-
   // The diffusion core (terminal element of the filter chain).
   void CoreProcess(Message& message);
   void ProcessInterest(Message& message);
@@ -320,8 +302,8 @@ class DiffusionNode {
   // Candidate indexes over filters_/subscriptions_, discriminated on the
   // `class` attribute. Kept in sync by Add/Remove; DispatchToChain and
   // DeliverLocalData consult these instead of scanning the full chain.
-  MatchIndex filter_index_{kKeyClass};
-  MatchIndex subscription_index_{kKeyClass};
+  MatchIndex filter_index_;
+  MatchIndex subscription_index_;
 
   std::unordered_set<EventId> pending_transmits_;
   Rng rng_;

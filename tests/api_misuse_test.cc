@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -196,7 +199,7 @@ TEST(MatchEquivalenceTest, IndexedDispatchMatchesFullScan) {
       }
       entries.push_back(AttributeSet(std::move(attrs)));
     }
-    MatchIndex index(kKeyClass);
+    MatchIndex index;
     for (size_t i = 0; i < entries.size(); ++i) {
       index.Insert(static_cast<uint32_t>(i), 0, &entries[i]);
     }
@@ -231,96 +234,87 @@ TEST(MatchEquivalenceTest, IndexedDispatchMatchesFullScan) {
   }
 }
 
-// ---- SendBatch: a burst must be indistinguishable from repeated Send ----
+// No runner files an entry in MatchIndex's any_ group (class formals other
+// than numeric EQ), so drive one node through it: every message must reach
+// exactly the filters and subscriptions the full match admits, filters in
+// descending priority (lowest handle on ties) and subscriptions in handle
+// order.
+TEST(MatchEquivalenceTest, NodeDispatchThroughAnyGroup) {
+  Simulator sim(8);
+  auto channel = MakeCliqueChannel(&sim, 1);
+  DiffusionNode node(&sim, channel.get(), 1, NodeOptions{.radio = FastRadio()});
+  const std::vector<AttributeSet> specs = {
+      {Attribute::Int32(kKeyClass, AttrOp::kNe, kClassInterest)},
+      {Attribute::Int32(kKeyClass, AttrOp::kGe, kClassData)},
+      {Attribute::Int32(kKeyClass, AttrOp::kEqAny, 0)},
+      {Attribute::String(kKeyClass, AttrOp::kEq, "data")},
+      {Attribute::Int32(kKeyClass, AttrOp::kGt, kClassData)},
+      {Attribute::Int32(kKeyClass, AttrOp::kNe, kClassData)},
+      {Attribute::Int32(kKeyClass, AttrOp::kGe, kClassData),
+       Attribute::String(kKeyType, AttrOp::kEq, "light")},
+  };
+  const int16_t priorities[] = {5, 5, 9, 7, 1, 9, 1};
 
-struct BurstRun {
-  std::vector<TraceEvent> events;
-  std::vector<int64_t> delivered;
-  ApiResult result = ApiResult::kOk;
-};
-
-BurstRun RunBurst(bool use_batch) {
-  Simulator sim(77);
-  auto channel = MakeCliqueChannel(&sim, 2);
-  MemoryTraceSink trace;
-  sim.set_trace_sink(&trace);
-  DiffusionNode sink(&sim, channel.get(), 1, NodeOptions{.radio = FastRadio()});
-  DiffusionNode source(&sim, channel.get(), 2, NodeOptions{.radio = FastRadio()});
-  BurstRun out;
-  (void)sink.Subscribe(Query(), [&](const AttributeVector& attrs) {
-    if (const Attribute* seq = FindActual(attrs, kKeySequence)) {
-      out.delivered.push_back(*seq->AsInt());
-    }
-  });
-  const PublicationHandle pub = source.Publish(Publication());
-  sim.RunUntil(kSecond);
-  std::vector<AttributeVector> batch;
-  for (int i = 0; i < 6; ++i) {
-    batch.push_back(Reading(i));
+  // Handles are issued in ascending order, so spec index order is handle
+  // order for both kinds.
+  std::vector<size_t> delivered;
+  for (size_t i = 0; i < specs.size(); ++i) {
+    (void)node.Subscribe(specs[i], [&delivered, i](const AttributeVector&) {
+      delivered.push_back(i);
+    });
   }
-  if (use_batch) {
-    out.result = source.SendBatch(pub, batch);
-  } else {
-    for (const AttributeVector& extra : batch) {
-      const ApiResult r = source.Send(pub, extra);
-      if (out.result == ApiResult::kOk) {
-        out.result = r;
+  const AttributeSet publication = {Attribute::String(kKeyType, AttrOp::kIs, "light"),
+                                    ClassIs(kClassData)};
+  const PublicationHandle pub = node.Publish(publication);
+  sim.RunUntil(100 * kMillisecond);  // the interests settle before filters join
+
+  std::vector<size_t> chain;
+  for (size_t i = 0; i < specs.size(); ++i) {
+    auto handle = std::make_shared<FilterHandle>();
+    *handle = node.AddFilter(specs[i], priorities[i],
+                             [&chain, i, handle](Message& message, FilterApi& api) {
+                               chain.push_back(i);
+                               api.SendMessage(std::move(message), *handle);
+                             });
+  }
+
+  const AttributeVector extras[] = {
+      {},
+      {Attribute::Int32(kKeyClass, AttrOp::kIs, 5)},
+      {Attribute::String(kKeyClass, AttrOp::kIs, "data")},
+  };
+  for (const AttributeVector& extra : extras) {
+    AttributeSet message = publication;
+    message.Append(extra);
+    std::vector<size_t> want_chain;
+    int32_t below = std::numeric_limits<int32_t>::max();
+    for (;;) {
+      std::optional<size_t> best;
+      for (size_t i = 0; i < specs.size(); ++i) {
+        if (priorities[i] < below && (!best || priorities[i] > priorities[*best]) &&
+            OneWayMatch(specs[i], message)) {
+          best = i;
+        }
+      }
+      if (!best) {
+        break;
+      }
+      want_chain.push_back(*best);
+      below = priorities[*best];
+    }
+    std::vector<size_t> want_delivered;
+    for (size_t i = 0; i < specs.size(); ++i) {
+      if (OneWayMatch(specs[i], message)) {
+        want_delivered.push_back(i);
       }
     }
+
+    chain.clear();
+    delivered.clear();
+    ASSERT_EQ(node.Send(pub, extra), ApiResult::kOk) << message.ToString();
+    EXPECT_EQ(chain, want_chain) << message.ToString();
+    EXPECT_EQ(delivered, want_delivered) << message.ToString();
   }
-  sim.RunUntil(5 * kSecond);
-  out.events = trace.events();
-  return out;
-}
-
-TEST(SendBatchTest, BatchMatchesSequentialSendsExactly) {
-  const BurstRun sequential = RunBurst(false);
-  const BurstRun batched = RunBurst(true);
-  EXPECT_FALSE(sequential.delivered.empty());
-  EXPECT_EQ(batched.delivered, sequential.delivered);
-  EXPECT_EQ(batched.result, sequential.result);
-  ASSERT_EQ(batched.events.size(), sequential.events.size());
-  for (size_t i = 0; i < sequential.events.size(); ++i) {
-    ASSERT_TRUE(batched.events[i] == sequential.events[i]) << "trace diverges at event " << i;
-  }
-}
-
-TEST(SendBatchTest, MisusePaths) {
-  Simulator sim(5);
-  auto channel = MakeCliqueChannel(&sim, 1);
-  DiffusionNode node(&sim, channel.get(), 1, NodeOptions{.radio = FastRadio()});
-  EXPECT_EQ(node.SendBatch(PublicationHandle{999}, {Reading(1)}), ApiResult::kUnknownHandle);
-  const PublicationHandle pub = node.Publish(Publication());
-  EXPECT_EQ(node.SendBatch(pub, {}), ApiResult::kOk);  // empty burst: nothing to do
-  // No interest anywhere: every message fails the same way one Send would.
-  EXPECT_EQ(node.SendBatch(pub, {Reading(1), Reading(2)}), ApiResult::kNoMatchingInterest);
-  node.Kill();
-  EXPECT_EQ(node.SendBatch(pub, {Reading(3)}), ApiResult::kNodeDead);
-}
-
-// A filter that mutates the chain mid-batch invalidates the precomputed
-// winners; the remaining messages must re-select per message and still all
-// arrive.
-TEST(SendBatchTest, ChainMutationMidBatchFallsBackPerMessage) {
-  Simulator sim(6);
-  auto channel = MakeCliqueChannel(&sim, 1);
-  DiffusionNode node(&sim, channel.get(), 1, NodeOptions{.radio = FastRadio()});
-  int delivered = 0;
-  (void)node.Subscribe(Query(), [&](const AttributeVector&) { ++delivered; });
-  const PublicationHandle pub = node.Publish(Publication());
-  sim.RunUntil(100 * kMillisecond);
-  int filter_hits = 0;
-  FilterHandle handle = kInvalidHandle;
-  handle = node.AddFilter(Query(), 10, [&](Message& message, FilterApi& api) {
-    ++filter_hits;
-    (void)node.RemoveFilter(handle);  // version bump: later winners are stale
-    api.SendMessage(std::move(message), handle);
-  });
-  EXPECT_EQ(node.SendBatch(pub, {Reading(1), Reading(2), Reading(3)}), ApiResult::kOk);
-  sim.RunUntil(kSecond);
-  EXPECT_EQ(filter_hits, 1);  // removed itself after the first message
-  EXPECT_EQ(delivered, 3);    // every message still reached the core
-  EXPECT_EQ(node.stats().stale_filter_reinjections, 1u);
 }
 
 }  // namespace

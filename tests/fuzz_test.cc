@@ -5,13 +5,11 @@
 
 #include <algorithm>
 #include <limits>
-#include <string>
 
 #include "src/core/match_index.h"
 #include "src/core/message.h"
 #include "src/micro/micro_wire.h"
 #include "src/naming/attribute.h"
-#include "src/naming/interner.h"
 #include "src/naming/keys.h"
 #include "src/naming/matching.h"
 #include "src/radio/fragmentation.h"
@@ -194,39 +192,11 @@ TEST_P(FuzzTest, ReassemblerSurvivesRandomFragmentHeaders) {
   }
 }
 
-TEST_P(FuzzTest, InternerRoundTripsRandomStrings) {
-  Interner interner;
-  std::vector<std::string> inserted;
-  for (int i = 0; i < 400; ++i) {
-    std::string name(static_cast<size_t>(rng_.NextInt(0, 24)), '\0');
-    for (char& c : name) {
-      // Include NUL and high bytes: the interner must treat names as opaque.
-      c = static_cast<char>(rng_.Next());
-    }
-    const InternId id = interner.Intern(name);
-    EXPECT_EQ(interner.Intern(name), id);  // stable on repeat
-    EXPECT_EQ(interner.NameOf(id), name);
-    ASSERT_TRUE(interner.Find(name).has_value());
-    EXPECT_EQ(*interner.Find(name), id);
-    inserted.push_back(std::move(name));
-  }
-  // Ids are dense: size equals the number of distinct names, and every
-  // earlier name still round-trips after later insertions (no invalidation).
-  std::vector<std::string> distinct = inserted;
-  std::sort(distinct.begin(), distinct.end());
-  distinct.erase(std::unique(distinct.begin(), distinct.end()), distinct.end());
-  EXPECT_EQ(interner.size(), distinct.size());
-  for (const std::string& name : inserted) {
-    ASSERT_TRUE(interner.Find(name).has_value());
-    EXPECT_EQ(interner.NameOf(*interner.Find(name)), name);
-  }
-}
-
 TEST_P(FuzzTest, MatchIndexChurnAgreesWithFullScan) {
   // Random insert/erase/query churn across every formal kind the index
   // classifies; candidates must always cover the full-scan matches and never
   // repeat.
-  MatchIndex index(kKeyConfidence);
+  MatchIndex index;
   std::vector<AttributeSet> storage;
   storage.reserve(1024);
   std::vector<std::pair<uint32_t, const AttributeSet*>> live;
@@ -248,7 +218,7 @@ TEST_P(FuzzTest, MatchIndexChurnAgreesWithFullScan) {
       const int formals = static_cast<int>(rng_.NextInt(0, 2));
       for (int f = 0; f < formals; ++f) {
         attrs.push_back(Attribute::Float64(
-            kKeyConfidence, static_cast<AttrOp>(rng_.NextInt(0, 7)), random_value()));
+            kKeyClass, static_cast<AttrOp>(rng_.NextInt(0, 7)), random_value()));
       }
       storage.emplace_back(std::move(attrs));
       const uint32_t id = next_id++;
@@ -263,7 +233,7 @@ TEST_P(FuzzTest, MatchIndexChurnAgreesWithFullScan) {
       AttributeVector message;
       const int actuals = static_cast<int>(rng_.NextInt(0, 3));
       for (int a = 0; a < actuals; ++a) {
-        message.push_back(Attribute::Float64(kKeyConfidence, AttrOp::kIs, random_value()));
+        message.push_back(Attribute::Float64(kKeyClass, AttrOp::kIs, random_value()));
       }
       std::vector<uint32_t> candidates;
       index.ForEachCandidate(message, [&](const MatchIndexEntry& entry) {

@@ -1,12 +1,12 @@
-// MatchIndex at the unit level: the interval/endpoint/NE classification, the
-// at-most-once ForEachCandidate contract, position-map erasure under churn,
-// and randomized index-vs-full-scan equivalence over inequality-heavy
-// corpora (the node-level randomization in api_misuse_test biases EQ).
+// MatchIndex at the unit level: the three-group classification and visit
+// order, the at-most-once ForEachCandidate contract, position-map erasure
+// under churn, and randomized index-vs-full-scan equivalence over
+// inequality-heavy corpora on `class` (the node-level randomization in
+// api_misuse_test biases EQ).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <map>
 #include <string>
@@ -21,7 +21,7 @@
 namespace diffusion {
 namespace {
 
-constexpr AttrKey kKey = kKeyConfidence;
+constexpr AttrKey kKey = kKeyClass;
 constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
@@ -65,26 +65,54 @@ void ExpectSoundAndDeduped(const std::vector<AttributeSet>& entries, const Match
   }
 }
 
-// ---- encoding helpers ----
+// ---- classification coverage: every group type round-trips a match ----
 
-TEST(MatchIndexTest, OrderedBitsIsMonotone) {
-  const double values[] = {-kInf, -1e300, -2.5, -1.0, -1e-300, 0.0, 1e-300, 1.0, 2.5, 1e300, kInf};
-  for (size_t i = 1; i < std::size(values); ++i) {
-    EXPECT_LT(MatchIndex::OrderedBits(values[i - 1]), MatchIndex::OrderedBits(values[i]));
+TEST(MatchIndexTest, GroupsVisitedInFixedOrder) {
+  // Inserted out of group order: any_, bucket 1, unconstrained, bucket 0,
+  // any_, bucket 1. Visits come unconstrained first, then the buckets in
+  // the order the message's actuals name them, then any_, each group in
+  // insertion order.
+  std::vector<AttributeSet> entries;
+  entries.push_back({Attribute::Int32(kKey, AttrOp::kNe, 7)});
+  entries.push_back({ClassEq(kClassData)});
+  entries.push_back({Attribute::Int32(kKeyTask, AttrOp::kEq, 1)});
+  entries.push_back({ClassEq(kClassInterest)});
+  entries.push_back({Attribute::String(kKey, AttrOp::kEq, "data")});
+  entries.push_back({ClassEq(kClassData)});
+  MatchIndex index;
+  for (size_t i = 0; i < entries.size(); ++i) {
+    ASSERT_TRUE(index.Insert(static_cast<uint32_t>(i), 0, &entries[i]));
   }
-  // -0.0 and +0.0 compare equal as doubles, so they must share one code.
-  EXPECT_EQ(MatchIndex::OrderedBits(-0.0), MatchIndex::OrderedBits(0.0));
+  const AttributeSet message = {ClassIs(kClassInterest), ClassIs(kClassData)};
+  EXPECT_EQ(Candidates(index, message), (std::vector<uint32_t>{2, 3, 1, 5, 0, 4}));
 }
 
-// ---- classification coverage: every group type round-trips a match ----
+TEST(MatchIndexTest, EqBucketsAndAnyGroupPruneByClassActual) {
+  std::vector<AttributeSet> entries;
+  entries.push_back({ClassEq(kClassData)});
+  entries.push_back({ClassEq(kClassInterest)});
+  entries.push_back({Attribute::Int32(kKey, AttrOp::kGe, 0)});
+  entries.push_back({Attribute::Int32(kKeyTask, AttrOp::kEq, 1)});
+  MatchIndex index;
+  for (size_t i = 0; i < entries.size(); ++i) {
+    ASSERT_TRUE(index.Insert(static_cast<uint32_t>(i), 0, &entries[i]));
+  }
+  // A data message skips the interest bucket; a message with no class
+  // actual can satisfy no class formal, so it sees only the unconstrained
+  // entry.
+  EXPECT_EQ(Candidates(index, AttributeSet{ClassIs(kClassData)}),
+            (std::vector<uint32_t>{3, 0, 2}));
+  const AttributeSet classless = {Attribute::Int32(kKeyTask, AttrOp::kIs, 1)};
+  EXPECT_EQ(Candidates(index, classless), (std::vector<uint32_t>{3}));
+}
 
 TEST(MatchIndexTest, IntervalEntriesFoundByStabbingActual) {
   std::vector<AttributeSet> entries;
   entries.push_back(Range(10.0, 20.0));
   entries.push_back(Range(15.0, 30.0));
   entries.push_back(Range(100.0, 200.0));
-  entries.push_back(Range(-kInf, kInf));  // spans the sign bit: root node
-  MatchIndex index(kKey);
+  entries.push_back(Range(-kInf, kInf));
+  MatchIndex index;
   for (size_t i = 0; i < entries.size(); ++i) {
     ASSERT_TRUE(index.Insert(static_cast<uint32_t>(i), 0, &entries[i]));
   }
@@ -99,7 +127,7 @@ TEST(MatchIndexTest, TwoFormalsSatisfiedByDifferentActuals) {
   // though neither lies in [10, 20]. The index must still offer the entry.
   std::vector<AttributeSet> entries;
   entries.push_back(Range(10.0, 20.0));
-  MatchIndex index(kKey);
+  MatchIndex index;
   ASSERT_TRUE(index.Insert(0, 0, &entries[0]));
   const AttributeSet message = {Attribute::Float64(kKey, AttrOp::kIs, -5.0),
                                 Attribute::Float64(kKey, AttrOp::kIs, 25.0)};
@@ -112,7 +140,7 @@ TEST(MatchIndexTest, ContradictoryBoundsStillMatchable) {
   // by two actuals spanning the gap.
   std::vector<AttributeSet> entries;
   entries.push_back(Range(20.0, 10.0));
-  MatchIndex index(kKey);
+  MatchIndex index;
   ASSERT_TRUE(index.Insert(0, 0, &entries[0]));
   const AttributeSet spanning = {Attribute::Float64(kKey, AttrOp::kIs, 5.0),
                                  Attribute::Float64(kKey, AttrOp::kIs, 25.0)};
@@ -126,32 +154,25 @@ TEST(MatchIndexTest, StrictBoundsExcludeEndpoints) {
                      Attribute::Float64(kKey, AttrOp::kLt, 20.0)});
   entries.push_back({Attribute::Float64(kKey, AttrOp::kGt, 10.0)});
   entries.push_back({Attribute::Float64(kKey, AttrOp::kLt, 20.0)});
-  MatchIndex index(kKey);
+  MatchIndex index;
   for (size_t i = 0; i < entries.size(); ++i) {
     ASSERT_TRUE(index.Insert(static_cast<uint32_t>(i), 0, &entries[i]));
   }
   for (double v : {10.0, 10.0000001, 15.0, 19.9999999, 20.0}) {
     ExpectSoundAndDeduped(entries, index, Actual(v), "strict bounds");
   }
-  // The endpoint scans are exact for single-sided entries: a GT 10 entry
-  // must not be offered for an actual of exactly 10.
-  const std::vector<uint32_t> at_ten = Candidates(index, Actual(10.0));
-  EXPECT_TRUE(std::find(at_ten.begin(), at_ten.end(), 1u) == at_ten.end());
 }
 
-TEST(MatchIndexTest, NeGroupsSkipOnlyTheUniformValue) {
+TEST(MatchIndexTest, NeFormalsNeverLoseAMatch) {
   std::vector<AttributeSet> entries;
   entries.push_back({Attribute::Float64(kKey, AttrOp::kNe, 5.0)});
   entries.push_back({Attribute::Float64(kKey, AttrOp::kNe, 7.0)});
   entries.push_back({Attribute::String(kKey, AttrOp::kNe, "red")});
-  MatchIndex index(kKey);
+  MatchIndex index;
   for (size_t i = 0; i < entries.size(); ++i) {
     ASSERT_TRUE(index.Insert(static_cast<uint32_t>(i), 0, &entries[i]));
   }
-  // Single actual 5.0: NE 5 unsatisfiable, NE 7 satisfiable.
-  std::vector<uint32_t> c = Candidates(index, Actual(5.0));
-  EXPECT_TRUE(std::find(c.begin(), c.end(), 0u) == c.end());
-  EXPECT_TRUE(std::find(c.begin(), c.end(), 1u) != c.end());
+  ExpectSoundAndDeduped(entries, index, Actual(5.0), "one NE actual");
   // Two distinct actuals 5.0 and 7.0: both NE entries satisfiable.
   const AttributeSet both = {Attribute::Float64(kKey, AttrOp::kIs, 5.0),
                              Attribute::Float64(kKey, AttrOp::kIs, 7.0)};
@@ -168,17 +189,17 @@ TEST(MatchIndexTest, NanActualSatisfiesNeButNothingElse) {
   entries.push_back({Attribute::Float64(kKey, AttrOp::kNe, 5.0)});
   entries.push_back({Attribute::Float64(kKey, AttrOp::kEq, 5.0)});
   entries.push_back(Range(0.0, 10.0));
-  MatchIndex index(kKey);
+  MatchIndex index;
   for (size_t i = 0; i < entries.size(); ++i) {
     ASSERT_TRUE(index.Insert(static_cast<uint32_t>(i), 0, &entries[i]));
   }
   // NaN != 5.0 is true, so the NE entry matches and must be offered.
   ExpectSoundAndDeduped(entries, index, Actual(kNaN), "NaN actual");
-  // NaN bounds are unsatisfiable; the entry lands in any_ (still offered —
-  // conservatively — whenever an actual on the key exists).
+  // NaN bounds are unsatisfiable; the entry lands in any_ (still offered,
+  // conservatively, whenever an actual on the key exists).
   std::vector<AttributeSet> nan_bound;
   nan_bound.push_back({Attribute::Float64(kKey, AttrOp::kGe, kNaN)});
-  MatchIndex index2(kKey);
+  MatchIndex index2;
   ASSERT_TRUE(index2.Insert(0, 0, &nan_bound[0]));
   ExpectSoundAndDeduped(nan_bound, index2, Actual(3.0), "NaN bound");
 }
@@ -188,7 +209,7 @@ TEST(MatchIndexTest, NegativeZeroAndPositiveZeroAgree) {
   entries.push_back({Attribute::Float64(kKey, AttrOp::kEq, -0.0)});
   entries.push_back(Range(-0.0, 0.0));
   entries.push_back({Attribute::Float64(kKey, AttrOp::kGe, 0.0)});
-  MatchIndex index(kKey);
+  MatchIndex index;
   for (size_t i = 0; i < entries.size(); ++i) {
     ASSERT_TRUE(index.Insert(static_cast<uint32_t>(i), 0, &entries[i]));
   }
@@ -201,7 +222,7 @@ TEST(MatchIndexTest, MixedNumericTypesShareBuckets) {
   std::vector<AttributeSet> entries;
   entries.push_back({Attribute::Int32(kKey, AttrOp::kEq, 42)});
   entries.push_back({Attribute::Int32(kKey, AttrOp::kGe, 40), Attribute::Int32(kKey, AttrOp::kLe, 50)});
-  MatchIndex index(kKey);
+  MatchIndex index;
   for (size_t i = 0; i < entries.size(); ++i) {
     ASSERT_TRUE(index.Insert(static_cast<uint32_t>(i), 0, &entries[i]));
   }
@@ -214,7 +235,7 @@ TEST(MatchIndexTest, DuplicateActualsVisitEachEntryOnce) {
   std::vector<AttributeSet> entries;
   entries.push_back({ClassEq(kClassData)});
   entries.push_back({Attribute::Int32(kKeyClass, AttrOp::kNe, 99)});
-  MatchIndex index(kKeyClass);
+  MatchIndex index;
   for (size_t i = 0; i < entries.size(); ++i) {
     ASSERT_TRUE(index.Insert(static_cast<uint32_t>(i), 0, &entries[i]));
   }
@@ -231,7 +252,7 @@ TEST(MatchIndexTest, DuplicateActualsVisitEachEntryOnce) {
 // ---- Erase satellites ----
 
 TEST(MatchIndexTest, EraseUnknownIdReturnsFalse) {
-  MatchIndex index(kKeyClass);
+  MatchIndex index;
   EXPECT_FALSE(index.Erase(7));
   AttributeSet attrs = {ClassEq(kClassData)};
   ASSERT_TRUE(index.Insert(1, 0, &attrs));
@@ -242,7 +263,7 @@ TEST(MatchIndexTest, EraseUnknownIdReturnsFalse) {
 }
 
 TEST(MatchIndexTest, DuplicateInsertRejected) {
-  MatchIndex index(kKeyClass);
+  MatchIndex index;
   AttributeSet attrs = {ClassEq(kClassData)};
   EXPECT_TRUE(index.Insert(1, 0, &attrs));
   EXPECT_FALSE(index.Insert(1, 5, &attrs));
@@ -253,7 +274,7 @@ TEST(MatchIndexTest, EraseWorksAfterAttrsMutatedWhileIndexed) {
   // Regression: the old Erase re-classified from the (now mutated) attrs,
   // missed the entry's real group, silently no-opped, and left a dangling
   // MatchIndexEntry. Erase-by-id must find it regardless.
-  MatchIndex index(kKeyClass);
+  MatchIndex index;
   AttributeSet attrs = {ClassEq(kClassData)};
   ASSERT_TRUE(index.Insert(1, 0, &attrs));
   attrs.RemoveKey(kKeyClass);  // re-classification would now say "unconstrained"
@@ -277,7 +298,7 @@ TEST(MatchIndexTest, SwapAndPopKeepsPositionsConsistentUnderChurn) {
   for (int i = 0; i < 64; ++i) {
     entries.push_back({ClassEq(kClassData)});
   }
-  MatchIndex index(kKeyClass);
+  MatchIndex index;
   for (size_t i = 0; i < entries.size(); ++i) {
     ASSERT_TRUE(index.Insert(static_cast<uint32_t>(i), 0, &entries[i]));
   }
@@ -307,7 +328,7 @@ TEST(MatchIndexTest, SwapAndPopKeepsPositionsConsistentUnderChurn) {
 }
 
 TEST(MatchIndexTest, VersionBumpsOnMutationOnly) {
-  MatchIndex index(kKeyClass);
+  MatchIndex index;
   AttributeSet attrs = {ClassEq(kClassData)};
   const uint64_t v0 = index.version();
   ASSERT_TRUE(index.Insert(1, 0, &attrs));
@@ -321,56 +342,6 @@ TEST(MatchIndexTest, VersionBumpsOnMutationOnly) {
   EXPECT_EQ(index.version(), v1);
   ASSERT_TRUE(index.Erase(1));
   EXPECT_GT(index.version(), v1);
-}
-
-// ---- batch traversal ----
-
-TEST(MatchIndexTest, BatchAgreesWithPerMessageTraversal) {
-  Rng rng(11);
-  std::vector<AttributeSet> entries;
-  for (int i = 0; i < 200; ++i) {
-    const double lo = static_cast<double>(rng.NextInt(0, 900));
-    switch (rng.NextInt(0, 3)) {
-      case 0:
-        entries.push_back(Range(lo, lo + static_cast<double>(rng.NextInt(1, 100))));
-        break;
-      case 1:
-        entries.push_back({Attribute::Float64(kKey, AttrOp::kGe, lo)});
-        break;
-      case 2:
-        entries.push_back({Attribute::Float64(kKey, AttrOp::kEq, lo)});
-        break;
-      default:
-        entries.push_back({Attribute::Float64(kKey, AttrOp::kNe, lo)});
-        break;
-    }
-  }
-  MatchIndex index(kKey);
-  for (size_t i = 0; i < entries.size(); ++i) {
-    ASSERT_TRUE(index.Insert(static_cast<uint32_t>(i), 0, &entries[i]));
-  }
-  std::vector<AttributeSet> messages;
-  std::vector<const AttributeSet*> ptrs;
-  for (int i = 0; i < 16; ++i) {
-    messages.push_back(Actual(static_cast<double>(rng.NextInt(0, 1000))));
-  }
-  for (const AttributeSet& m : messages) {
-    ptrs.push_back(&m);
-  }
-  std::vector<std::vector<uint32_t>> batched(messages.size());
-  index.ForEachCandidateBatch(ptrs.data(), ptrs.size(),
-                              [&](size_t i, const MatchIndexEntry& entry) {
-                                batched[i].push_back(entry.id);
-                              });
-  for (size_t i = 0; i < messages.size(); ++i) {
-    std::vector<uint32_t> single = Candidates(index, messages[i]);
-    std::sort(single.begin(), single.end());
-    std::vector<uint32_t> batch_sorted = batched[i];
-    std::sort(batch_sorted.begin(), batch_sorted.end());
-    ASSERT_TRUE(std::adjacent_find(batch_sorted.begin(), batch_sorted.end()) ==
-                batch_sorted.end());
-    ASSERT_EQ(batch_sorted, single) << "message " << i;
-  }
 }
 
 // ---- randomized equivalence over inequality-heavy and mixed corpora ----
@@ -426,7 +397,7 @@ TEST(MatchIndexTest, RandomizedInequalityCorpusNeverLosesAMatch) {
       }
       entries.push_back(AttributeSet(std::move(attrs)));
     }
-    MatchIndex index(kKey);
+    MatchIndex index;
     for (size_t i = 0; i < entries.size(); ++i) {
       ASSERT_TRUE(index.Insert(static_cast<uint32_t>(i), 0, &entries[i]));
     }
@@ -452,7 +423,7 @@ TEST(MatchIndexTest, RandomizedChurnKeepsIndexConsistent) {
   std::vector<AttributeSet> storage;  // stable via reserve
   storage.reserve(512);
   std::map<uint32_t, size_t> live;  // id -> storage slot
-  MatchIndex index(kKey);
+  MatchIndex index;
   uint32_t next_id = 0;
   for (int step = 0; step < 600; ++step) {
     const bool do_insert = live.empty() || rng.NextBool(0.55);
